@@ -36,6 +36,7 @@ module H = Commx_core.Hard_instance
 module Halves = Commx_protocols.Halves
 module Trivial = Commx_protocols.Trivial
 module Client = Commx_serve.Client
+module Cache = Commx_serve.Cache
 
 type target = In_process | Daemon of string
 
@@ -94,10 +95,14 @@ let materialize (r : Traffic.request) =
    the same answer whether computed here or by a daemon, which is what
    lets the soak compare digests across targets. *)
 
-let answer_in_process ~table payload =
+(* [table] is the worker's warm table, shared by every board it
+   answers; each canonical board searches it under its own tag from
+   [tags], as the daemon does, so no board reads another's entries. *)
+let answer_in_process ~table ~tags payload =
   match payload with
   | P_exact m ->
-      let v, _ = E.search ~table m in
+      let key_tag = Cache.Tags.tag tags ("exact_cc:" ^ E.canonical_key m) in
+      let v, _ = E.search ~table ~key_tag m in
       Printf.sprintf "cc=%d" v
   | P_singular m ->
       Printf.sprintf "singular=%b" (Zm.singular_batch [| m |]).(0)
@@ -194,7 +199,7 @@ let replay cfg reqs =
   let next = Atomic.make 0 in
   let epoch = Clock.now_s () in
   let worker _wid =
-    let table = Tx.create () in
+    let table = Tx.create () and tags = Cache.Tags.create () in
     let client =
       match cfg.target with
       | In_process -> None
@@ -219,7 +224,7 @@ let replay cfg reqs =
         (try
            let ans =
              match client with
-             | None -> answer_in_process ~table payload
+             | None -> answer_in_process ~table ~tags payload
              | Some c -> (
                  let op, fields = wire_request payload in
                  match Client.request c ?deadline_ms:cfg.deadline_ms ~op fields with

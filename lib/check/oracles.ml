@@ -63,3 +63,208 @@ module Table_model = struct
   let length t = Hashtbl.length t
   let fold f t init = Hashtbl.fold f t init
 end
+
+let canonical_key_text m =
+  let text m i = String.init (Bitmat.cols m) (fun j -> if Bitmat.get m i j then '1' else '0') in
+  let distinct xs =
+    List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
+  in
+  let transpose nr nc lines =
+    let a = Array.of_list lines in
+    List.init nc (fun j -> String.init nr (fun i -> a.(i).[j]))
+  in
+  let rows = distinct (List.init (Bitmat.rows m) (text m)) in
+  let nr = List.length rows in
+  let cols = distinct (transpose nr (Bitmat.cols m) rows) in
+  let nc = List.length cols in
+  let rows = transpose nc nr cols in
+  let ones =
+    List.fold_left
+      (fun acc r -> String.fold_left (fun a c -> if c = '1' then a + 1 else a) acc r)
+      0 rows
+  in
+  let rows =
+    if 2 * ones > nr * nc then
+      List.map (String.map (fun c -> if c = '1' then '0' else '1')) rows
+    else rows
+  in
+  Printf.sprintf "%dx%d:%s" nr nc (String.concat "." rows)
+
+(* The request decoder {!Commx_serve.Wire.parse} replaced: the whole
+   line parsed into a [Json.t] tree, then each field read off it.  Kept
+   verbatim as the reference the packed-word decoder must match. *)
+module Wire_tree = struct
+  module W = Commx_serve.Wire
+  module Json = Commx_util.Json
+  module Bm = Commx_util.Bitmat
+
+  exception Bad of string
+
+  let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+
+  let field obj key = Json.member key obj
+
+  let int_field ?default obj key =
+    match (field obj key, default) with
+    | Some (Json.Int v), _ -> v
+    | None, Some d -> d
+    | None, None -> bad "missing integer field %S" key
+    | Some _, _ -> bad "field %S must be an integer" key
+
+  let float_field ?default obj key =
+    match (field obj key, default) with
+    | Some (Json.Float v), _ -> v
+    | Some (Json.Int v), _ -> float_of_int v
+    | None, Some d -> d
+    | None, None -> bad "missing number field %S" key
+    | Some _, _ -> bad "field %S must be a number" key
+
+  let bool_field ~default obj key =
+    match field obj key with
+    | Some (Json.Bool v) -> v
+    | None -> default
+    | Some _ -> bad "field %S must be a boolean" key
+
+  let string_field ?default obj key =
+    match (field obj key, default) with
+    | Some (Json.String s), _ -> s
+    | None, Some d -> d
+    | None, None -> bad "missing string field %S" key
+    | Some _, _ -> bad "field %S must be a string" key
+
+  (* ["0110", "1001", ...] -> Bitmat, strictly rectangular, 0/1 only. *)
+  let bit_matrix_of_rows rows =
+    let rows =
+      List.map
+        (function Json.String s -> s | _ -> bad "matrix rows must be strings")
+        rows
+    in
+    match rows with
+    | [] -> bad "matrix has no rows"
+    | first :: _ ->
+        let nr = List.length rows and nc = String.length first in
+        if nc = 0 then bad "matrix has empty rows";
+        if nr > W.max_matrix_side || nc > W.max_matrix_side then
+          bad "matrix exceeds %dx%d wire limit" W.max_matrix_side W.max_matrix_side;
+        if List.exists (fun r -> String.length r <> nc) rows then
+          bad "matrix rows have unequal lengths";
+        List.iter
+          (String.iter (fun c ->
+               if c <> '0' && c <> '1' then
+                 bad "matrix rows must contain only '0' and '1'"))
+          rows;
+        let a = Array.of_list rows in
+        Bm.init nr nc (fun i j -> a.(i).[j] = '1')
+
+  let bit_matrix obj =
+    match field obj "matrix" with
+    | Some (Json.List l) -> bit_matrix_of_rows l
+    | Some _ -> bad "field \"matrix\" must be a list of row strings"
+    | None -> bad "missing field \"matrix\""
+
+  (* [["01","10"], ...] -> Bitmat array; every board is validated by the
+     single-matrix rules, and the batch count itself is capped so one
+     line cannot queue unbounded work. *)
+  let bit_matrices obj =
+    let items =
+      match field obj "matrices" with
+      | Some (Json.List l) -> l
+      | Some _ -> bad "field \"matrices\" must be a list of matrices"
+      | None -> bad "missing field \"matrices\""
+    in
+    if List.length items > W.max_batch_size then
+      bad "batch exceeds %d-matrix wire limit" W.max_batch_size;
+    Array.of_list
+      (List.map
+         (function
+           | Json.List rows -> bit_matrix_of_rows rows
+           | _ -> bad "each matrix must be a list of row strings")
+         items)
+
+  (* [[1, 2], ["-3", 4], ...] -> Zmatrix; entries are ints or decimal
+     strings (bigints larger than a native int must come as strings). *)
+  let int_matrix obj =
+    let entry = function
+      | Json.Int v -> B.of_int v
+      | Json.String s -> (
+          try B.of_string s
+          with _ -> bad "matrix entry %S is not a decimal integer" s)
+      | _ -> bad "matrix entries must be integers or decimal strings"
+    in
+    let rows =
+      match field obj "matrix" with
+      | Some (Json.List l) -> l
+      | Some _ -> bad "field \"matrix\" must be a list of rows"
+      | None -> bad "missing field \"matrix\""
+    in
+    let rows =
+      List.map
+        (function
+          | Json.List r -> Array.of_list (List.map entry r)
+          | _ -> bad "matrix rows must be lists")
+        rows
+    in
+    match rows with
+    | [] -> bad "matrix has no rows"
+    | first :: _ ->
+        let nr = List.length rows and nc = Array.length first in
+        if nc = 0 then bad "matrix has empty rows";
+        if nr > W.max_matrix_side || nc > W.max_matrix_side then
+          bad "matrix exceeds %dx%d wire limit" W.max_matrix_side W.max_matrix_side;
+        if List.exists (fun r -> Array.length r <> nc) rows then
+          bad "matrix rows have unequal lengths";
+        let a = Array.of_list rows in
+        Zm.init nr nc (fun i j -> a.(i).(j))
+
+  let request_of obj op =
+    match op with
+    | "ping" -> W.Ping
+    | "stats" -> W.Stats
+    | "shutdown" -> W.Shutdown
+    | "dump_trace" -> W.Dump_trace
+    | "exact_cc" ->
+        W.Exact_cc
+          { matrix = bit_matrix obj;
+            use_cache = bool_field ~default:true obj "use_cache" }
+    | "singular" -> W.Singular { matrix = int_matrix obj }
+    | "lemma32" ->
+        W.Lemma32
+          { n = int_field ~default:7 obj "n";
+            k = int_field ~default:2 obj "k";
+            seed = int_field ~default:0 obj "seed" }
+    | "lower_bounds" -> W.Lower_bounds { matrix = bit_matrix obj }
+    | "protocol" ->
+        W.Protocol_run
+          { proto = string_field ~default:"trivial" obj "protocol";
+            n = int_field ~default:7 obj "n";
+            k = int_field ~default:2 obj "k";
+            seed = int_field ~default:0 obj "seed";
+            epsilon = float_field ~default:0.01 obj "epsilon" }
+    | "rank_batch" -> W.Rank_batch { matrices = bit_matrices obj }
+    | other -> bad "unknown op %S" other
+
+  (* Optional per-request deadline, in milliseconds of wall budget from
+     the moment the daemon parses the request.  0 or negative is a
+     client bug worth rejecting loudly rather than an instant timeout. *)
+  let deadline_of obj =
+    match field obj "deadline_ms" with
+    | None -> None
+    | Some (Json.Int v) ->
+        if v <= 0 then bad "field \"deadline_ms\" must be > 0" else Some v
+    | Some _ -> bad "field \"deadline_ms\" must be an integer"
+
+  let parse line =
+    match Json.of_string line with
+    | exception Failure msg -> Error (Json.Null, "malformed JSON: " ^ msg)
+    | Json.Obj _ as obj -> (
+        let id = Option.value (field obj "id") ~default:Json.Null in
+        match field obj "op" with
+        | Some (Json.String op) -> (
+            try Ok { W.id; op; deadline_ms = deadline_of obj; req = request_of obj op }
+            with Bad msg -> Error (id, msg))
+        | Some _ -> Error (id, "field \"op\" must be a string")
+        | None -> Error (id, "missing field \"op\""))
+    | _ -> Error (Json.Null, "request must be a JSON object")
+end
+
+let wire_parse = Wire_tree.parse

@@ -41,3 +41,20 @@ module Table_model : sig
   val length : t -> int
   val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 end
+
+val wire_parse :
+  string ->
+  (Commx_serve.Wire.envelope, Commx_util.Json.t * string) result
+(** The tree-based request decoder {!Commx_serve.Wire.parse} replaced:
+    {!Commx_util.Json.of_string} on the whole line, then each field read
+    off the tree.  {!Commx_serve.Wire.parse} must give the same [Ok]
+    value or the same [Error], byte for byte. *)
+
+val canonical_key_text : Commx_util.Bitmat.t -> string
+(** The exact-CC content key as it was before row words: the board's
+    distinct rows then distinct columns (first occurrences, in order),
+    complemented when more than half its cells are ones, rendered as
+    ["<rows>x<cols>:"] and ['0']/['1'] rows joined by ['.'].  Built
+    here from plain strings, independently of
+    {!Commx_comm.Exact_cc.canonical_key}, which must alias exactly the
+    same boards. *)

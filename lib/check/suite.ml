@@ -3,6 +3,7 @@ module Bitvec = Commx_util.Bitvec
 module Bitmat = Commx_util.Bitmat
 module Txtable = Commx_util.Txtable
 module Json = Commx_util.Json
+module Wire = Commx_serve.Wire
 module Stats = Commx_util.Stats
 module Combi = Commx_util.Combi
 module B = Commx_bigint.Bigint
@@ -562,8 +563,31 @@ let rec json_eq a b =
            xs ys
   | _ -> false
 
+(* Strings that take each path of the emitter and the parser: raw
+   bytes in [0, 127] (control characters, quotes and backslashes, so
+   escapes), printable escape-free text (one blit each way), and UTF-8
+   beyond ASCII (passed through raw). *)
+let gen_json_string g =
+  let buf = Buffer.create 16 in
+  let n = Prng.int g 13 in
+  (match Prng.int g 3 with
+  | 0 -> Buffer.add_string buf (Gen.byte_string (Gen.return n) g)
+  | 1 ->
+      for _ = 1 to n do
+        match Char.chr (Prng.int_incl g 0x20 0x7e) with
+        | '"' | '\\' -> Buffer.add_char buf '_'
+        | c -> Buffer.add_char buf c
+      done
+  | _ ->
+      for _ = 1 to n do
+        Buffer.add_string buf
+          (Prng.choose g
+             [| "a"; "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\"";
+                "\\"; "\n"; "\x01"; "\x7f" |])
+      done);
+  Buffer.contents buf
+
 let gen_json =
-  let string_ = Gen.byte_string (Gen.int_range 0 12) in
   let leaf g =
     match Prng.int g 6 with
     | 0 -> Json.Null
@@ -580,7 +604,7 @@ let gen_json =
           | _ -> ldexp ((Prng.float g *. 2.0) -. 1.0) (Prng.int_incl g (-30) 30)
         in
         Json.Float f
-    | _ -> Json.String (string_ g)
+    | _ -> Json.String (gen_json_string g)
   in
   let rec value depth g =
     if depth = 0 then leaf g
@@ -595,12 +619,46 @@ let gen_json =
           Json.Obj
             (List.map
                (fun _ ->
-                 let k = string_ g in
+                 let k = gen_json_string g in
                  (k, value (depth - 1) g))
                (List.init n Fun.id))
     end
   in
   value 3
+
+(* Compact text with every ASCII byte of every string and key written
+   as a [\uXXXX] escape: the parser's escape path on every string. *)
+let rec to_u_escaped buf v =
+  let quoted s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        if Char.code c < 0x80 then
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        else Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+  in
+  let items open_ close f xs =
+    Buffer.add_char buf open_;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        f x)
+      xs;
+    Buffer.add_char buf close
+  in
+  match v with
+  | Json.String s -> quoted s
+  | Json.List xs -> items '[' ']' (to_u_escaped buf) xs
+  | Json.Obj kvs ->
+      items '{' '}'
+        (fun (k, x) ->
+          quoted k;
+          Buffer.add_char buf ':';
+          to_u_escaped buf x)
+        kvs
+  | v -> Buffer.add_string buf (Json.to_string v)
 
 let json_roundtrip =
   Property.make ~name:"json.roundtrip" ~gen:gen_json ~show:Json.to_string
@@ -611,7 +669,222 @@ let json_roundtrip =
             fun () -> json_eq (Json.of_string (Json.to_string v)) v );
           ( "pretty",
             fun () -> json_eq (Json.of_string (Json.to_string_pretty v)) v );
+          ( "u_escaped",
+            fun () ->
+              let buf = Buffer.create 64 in
+              to_u_escaped buf v;
+              json_eq (Json.of_string (Buffer.contents buf)) v );
         ])
+
+(* ------------------------------------------------------------------ *)
+(* Wire: the packed-word request decoder vs. the tree-based reference  *)
+(* ------------------------------------------------------------------ *)
+
+(* Whitespace between tokens, usually none. *)
+let gen_ws g = match Prng.int g 8 with 0 -> " " | 1 -> "\n\t " | _ -> ""
+
+(* A board's side: any of 1..64, the 62/63/64-column word boundary
+   often, and now and then an empty or over-the-cap side. *)
+let gen_side g =
+  match Prng.int g 12 with
+  | 0 | 1 -> Prng.choose g [| 62; 63; 64 |]
+  | 2 -> Prng.choose g [| 0; 65 |]
+  | 3 | 4 | 5 -> Prng.int_incl g 1 4
+  | _ -> Prng.int_incl g 1 64
+
+(* One board as JSON text.  Most boards are well formed; a defective
+   one carries one or more of: a non-string row, a ragged row, a byte
+   other than '0'/'1', and (harmless) [\u0030]/[\u0031] escapes or a
+   multi-byte escape that lengthens a row. *)
+let gen_board_text g =
+  let rows = gen_side g in
+  let cols = if rows > 0 && Prng.int g 6 = 0 then rows else gen_side g in
+  let defect p = Prng.int g 100 < p in
+  let non_string = defect 8 and ragged = defect 8 and stray = defect 8 in
+  let escapes = defect 25 and multibyte = defect 4 in
+  let pick () = if rows = 0 then -1 else Prng.int g rows in
+  let ns_row = if non_string then pick () else -1 in
+  let rg_row = if ragged then pick () else -1 in
+  let st_row = if stray then pick () else -1 in
+  let mb_row = if multibyte then pick () else -1 in
+  let row i =
+    if i = ns_row then
+      Prng.choose g [| "1"; "null"; "[\"0\"]"; "{\"r\":\"01\"}"; "true" |]
+    else begin
+      let b = Buffer.create (cols + 2) in
+      Buffer.add_char b '"';
+      let len =
+        if i = rg_row then if Prng.bool g then cols + 1 else max 0 (cols - 1)
+        else cols
+      in
+      let stray_at = if i = st_row && len > 0 then Prng.int g len else -1 in
+      for j = 0 to len - 1 do
+        let c =
+          if j = stray_at then Prng.choose g [| '2'; 'a'; ' '; '\t' |]
+          else if Prng.bool g then '1'
+          else '0'
+        in
+        if escapes && Prng.int g 6 = 0 then
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        else if c = '\t' then Buffer.add_string b "\\t"
+        else Buffer.add_char b c
+      done;
+      if i = mb_row then Buffer.add_string b "\\u00e9";
+      Buffer.add_char b '"';
+      Buffer.contents b
+    end
+  in
+  let b = Buffer.create 64 in
+  Buffer.add_char b '[';
+  for i = 0 to rows - 1 do
+    if i > 0 then Buffer.add_string b (gen_ws g ^ "," ^ gen_ws g);
+    Buffer.add_string b (row i)
+  done;
+  Buffer.add_string b (gen_ws g ^ "]");
+  Buffer.contents b
+
+let gen_not_a_list g = Prng.choose g [| "\"0110\""; "7"; "null"; "{}" |]
+
+(* A [matrices] value: a few boards, or (rarely) a batch at or just
+   past the 1024-board cap, with a bad board somewhere in it. *)
+let gen_batch_text g =
+  let count =
+    match Prng.int g 30 with
+    | 0 -> 1024
+    | 1 -> 1025
+    | _ -> Prng.int g 4
+  in
+  let bad_at = if Prng.int g 4 = 0 then Prng.int g (max count 1) else -1 in
+  let b = Buffer.create 64 in
+  Buffer.add_char b '[';
+  for i = 0 to count - 1 do
+    if i > 0 then Buffer.add_char b ',';
+    Buffer.add_string b
+      (if i = bad_at then
+         if Prng.bool g then gen_not_a_list g else "[\"01\",\"1\"]"
+       else if count > 4 then Prng.choose g [| "[\"0\"]"; "[\"1\"]"; "[\"01\",\"10\"]" |]
+       else gen_board_text g)
+  done;
+  Buffer.add_char b ']';
+  Buffer.contents b
+
+(* A whole request line: op, id, the matrix member(s), optional
+   use_cache / deadline_ms (sometimes invalid), sometimes a duplicate
+   matrix key, an escaped key or an unknown nested member, in any
+   order; and now and then not JSON, or not an object. *)
+let gen_wire_line g =
+  let op =
+    Prng.choose g
+      [| "exact_cc"; "exact_cc"; "lower_bounds"; "rank_batch"; "rank_batch";
+         "singular"; "ping" |]
+  in
+  let matrix_value () =
+    if Prng.int g 10 = 0 then gen_not_a_list g else gen_board_text g
+  in
+  let key k = if Prng.int g 10 = 0 && k = "matrix" then "m\\u0061trix" else k in
+  let members =
+    [ ("op", "\"" ^ op ^ "\""); ("id", string_of_int (Prng.int g 1000)) ]
+    @ (if op = "rank_batch" then
+         [ ("matrices",
+            if Prng.int g 10 = 0 then gen_not_a_list g else gen_batch_text g) ]
+       else if Prng.int g 20 = 0 then []
+       else [ ("matrix", matrix_value ()) ])
+    @ (if Prng.int g 8 = 0 then [ ("matrix", matrix_value ()) ] else [])
+    @ (if Prng.int g 8 = 0 then
+         [ ("use_cache", Prng.choose g [| "true"; "false"; "\"x\"" |]) ]
+       else [])
+    @ (if Prng.int g 8 = 0 then
+         [ ("deadline_ms", Prng.choose g [| "100"; "-1"; "\"x\""; "1.5" |]) ]
+       else [])
+    @
+    if Prng.int g 8 = 0 then [ ("extra", "{\"x\":[1,-2.5e3,{\"y\":null}],\"z\":\"\\n\"}") ]
+    else []
+  in
+  let members = Array.of_list members in
+  Prng.shuffle g members;
+  let body =
+    String.concat ","
+      (Array.to_list
+         (Array.map
+            (fun (k, v) -> gen_ws g ^ "\"" ^ key k ^ "\"" ^ gen_ws g ^ ":" ^ gen_ws g ^ v)
+            members))
+  in
+  let line = gen_ws g ^ "{" ^ body ^ gen_ws g ^ "}" ^ gen_ws g in
+  match Prng.int g 25 with
+  | 0 -> String.sub line 0 (Prng.int g (String.length line))
+  | 1 -> line ^ Prng.choose g [| "x"; ","; "}" |]
+  | 2 -> Prng.choose g [| "[1,2]"; "\"op\""; ""; "  "; "nul" |]
+  | _ -> line
+
+let same_request (a : Wire.request) (b : Wire.request) =
+  match (a, b) with
+  | Wire.Exact_cc x, Wire.Exact_cc y ->
+      Bitmat.equal x.matrix y.matrix && x.use_cache = y.use_cache
+  | Wire.Lower_bounds x, Wire.Lower_bounds y -> Bitmat.equal x.matrix y.matrix
+  | Wire.Rank_batch x, Wire.Rank_batch y ->
+      Array.length x.matrices = Array.length y.matrices
+      && Array.for_all2 Bitmat.equal x.matrices y.matrices
+  | Wire.Singular x, Wire.Singular y ->
+      Zm.rows x.matrix = Zm.rows y.matrix
+      && Zm.cols x.matrix = Zm.cols y.matrix
+      && List.for_all
+           (fun i ->
+             List.for_all
+               (fun j -> B.equal (Zm.get x.matrix i j) (Zm.get y.matrix i j))
+               (List.init (Zm.cols x.matrix) Fun.id))
+           (List.init (Zm.rows x.matrix) Fun.id)
+  | _ -> compare a b = 0
+
+let wire_bit_matrix_decode =
+  Property.make ~name:"wire.bit_matrix_decode" ~gen:gen_wire_line ~show:Fun.id
+    (fun line ->
+      match (Wire.parse line, Oracles.wire_parse line) with
+      | Ok a, Ok b ->
+          if
+            json_eq a.Wire.id b.Wire.id && a.op = b.op
+            && a.deadline_ms = b.deadline_ms && same_request a.req b.req
+          then None
+          else Some "accepted, with a different value than the reference"
+      | Error (ia, ma), Error (ib, mb) ->
+          if json_eq ia ib && ma = mb then None
+          else Some (Printf.sprintf "error %S, reference %S" ma mb)
+      | Ok _, Error (_, mb) -> Some ("accepted; the reference rejects: " ^ mb)
+      | Error (_, ma), Ok _ -> Some ("rejected (" ^ ma ^ "); the reference accepts"))
+
+(* The content key of a canonical board changed format (packed hex rows
+   for '0'/'1' text); it must still alias exactly the boards the old
+   key aliased.  Pairs are mostly related boards — duplicated lines,
+   complements, transposes — so aliases are common. *)
+let exact_cc_canonical_key_classes =
+  let gen g =
+    let a = gen_small_bitmat 1 8 g in
+    let r = Bitmat.rows a and c = Bitmat.cols a in
+    let b =
+      match Prng.int g 5 with
+      | 0 -> Bitmat.random g r c
+      | 1 ->
+          let i = Prng.int g r in
+          Bitmat.submatrix a
+            (Array.init (r + 1) (fun k -> if k = r then i else k))
+            (Array.init c Fun.id)
+      | 2 ->
+          let j = Prng.int g c in
+          Bitmat.submatrix a (Array.init r Fun.id)
+            (Array.init (c + 1) (fun k -> if k = 0 then j else k - 1))
+      | 3 -> Bitmat.complement a
+      | _ -> Bitmat.transpose a
+    in
+    (a, b)
+  in
+  Property.make ~name:"exact_cc.canonical_key_classes" ~gen
+    ~shrink:(Shrink.pair Shrink.bitmat Shrink.bitmat)
+    ~show:(fun (a, b) -> show_bitmat a ^ "\n--\n" ^ show_bitmat b)
+    (fun (a, b) ->
+      let now = Exact_cc.canonical_key a = Exact_cc.canonical_key b in
+      let before = Oracles.canonical_key_text a = Oracles.canonical_key_text b in
+      if now = before then None
+      else if now then Some "new key aliases boards the old key kept apart"
+      else Some "new key splits boards the old key aliased")
 
 let stats_percentiles =
   let gen =
@@ -703,6 +976,8 @@ let all () =
     zmatrix_singular_batch;
     lemma32_vs_determinant;
     json_roundtrip;
+    wire_bit_matrix_decode;
+    exact_cc_canonical_key_classes;
     stats_percentiles;
     combi_power_vs_bigint;
   ]

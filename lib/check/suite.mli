@@ -12,14 +12,19 @@
     - [txtable.*] — {!Commx_util.Txtable} vs. an association model:
       exact agreement unbudgeted, fail-softness under eviction;
     - [exact_cc.*] — the optimized search vs. the reference enumerator,
-      and the certified lower/upper bound sandwich;
+      the certified lower/upper bound sandwich, and the packed-hex
+      content key vs. the old text key (same alias classes);
     - [zmatrix.*] — Bareiss and CRT determinants vs. cofactor
       expansion, rank/determinant consistency, the Hadamard bound;
     - [lemma32.*] — the singularity criterion vs. direct determinant
       evaluation on random and on completed (Lemma 3.5(a)) restricted
       Fig. 1/3 instances;
+    - [wire.*] — {!Commx_serve.Wire.parse} (boards decoded straight
+      into row words) vs. the tree-based decoder it replaced: the same
+      value or the same error, byte for byte;
     - [json.*], [stats.*], [combi.*] — serialization round-trip
-      (non-finite floats, control characters), percentile/median
+      (non-finite floats, control characters, escape-free and
+      all-escaped strings, UTF-8), percentile/median
       consistency, overflow-exact [power] vs. bignum exponentiation. *)
 
 val all : unit -> Property.t list

@@ -860,10 +860,6 @@ let search ?(config = default_config) ?pool ?table ?(key_tag = 0) ?cancel
 let complexity m = fst (search m)
 let complexity_tm tm = complexity (Truth_matrix.to_bitmat tm)
 
-(* Content address of the canonical board: what the serve daemon keys
-   its result cache and its table-tag registry on.  Two inputs get the
-   same key exactly when the engine would search the same canonical
-   matrix — duplicate rows/columns and complementation included. *)
 (* Canonical board dimensions without running the search: what the
    serve daemon's admission check sizes an [exact_cc] request by.
    Collapse is enough — complement normalization never changes the
@@ -872,15 +868,12 @@ let canonical_dims m =
   let m' = collapse_duplicates m in
   (Bm.rows m', Bm.cols m')
 
-let canonical_key m =
-  let m' = complement_normalize (collapse_duplicates m) in
-  let b = Buffer.create 64 in
-  Buffer.add_string b (Printf.sprintf "%dx%d:" (Bm.rows m') (Bm.cols m'));
-  for i = 0 to Bm.rows m' - 1 do
-    if i > 0 then Buffer.add_char b '.';
-    Buffer.add_string b (Bv.to_string (Bm.row m' i))
-  done;
-  Buffer.contents b
+(* Content address of the canonical board: what the serve daemon keys
+   its result cache and its table-tag registry on.  Two inputs get the
+   same key exactly when the engine would search the same canonical
+   matrix — duplicate rows/columns and complementation included.
+   [Bm.key] renders the rows from their packed words. *)
+let canonical_key m = Bm.key (complement_normalize (collapse_duplicates m))
 
 let optimal_is_sandwiched m =
   let exact = complexity m in

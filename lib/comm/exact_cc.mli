@@ -234,9 +234,9 @@ val canonical_dims : Commx_util.Bitmat.t -> int * int
     worker.  Never raises. *)
 
 val canonical_key : Commx_util.Bitmat.t -> string
-(** Content address of the canonical board: dimensions plus row bits
-    of the matrix {e after} duplicate collapse and complement
-    normalization.  Two inputs share a key exactly when the engine
+(** Content address of the canonical board: {!Commx_util.Bitmat.key}
+    (dimensions plus fixed-width hex row words) of the matrix {e after}
+    duplicate collapse and complement normalization.  Two inputs share a key exactly when the engine
     would search the same canonical matrix, so structurally-equal
     queries alias — the serve daemon keys its result cache and its
     per-matrix table tags on this.  Never raises, even above

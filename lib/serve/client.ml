@@ -160,24 +160,36 @@ let rec write_all fd b pos len ~deadline =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         let remain = deadline -. Clock.now_s () in
         if remain <= 0.0 then raise Attempt_timeout;
-        (match Unix.select [] [ fd ] [] remain with
+        (* No request timeout: block.  [Unix.select] rejects an infinite
+           timeout with EINVAL. *)
+        (match
+           Unix.select [] [ fd ] [] (if deadline < infinity then remain else -1.0)
+         with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | _ -> ());
         write_all fd b pos len ~deadline
     | exception Unix.Unix_error (e, _, _) ->
         failf "write failed: %s" (Unix.error_message e)
 
+(* Bytes past a reply line stay in [rbuf] for the next call.  Each
+   byte is searched for the newline once: a long reply arriving in many
+   chunks costs linear, not quadratic, time. *)
 let read_line t fd ~deadline =
   let chunk = Bytes.create 65536 in
-  let rec go () =
-    let s = Buffer.contents t.rbuf in
-    match String.index_opt s '\n' with
+  let rec newline_from i =
+    if i >= Buffer.length t.rbuf then None
+    else if Buffer.nth t.rbuf i = '\n' then Some i
+    else newline_from (i + 1)
+  in
+  let rec go scanned =
+    match newline_from scanned with
     | Some i ->
-        let line = String.sub s 0 i in
+        let s = Buffer.contents t.rbuf in
         Buffer.clear t.rbuf;
         Buffer.add_substring t.rbuf s (i + 1) (String.length s - i - 1);
-        line
+        String.sub s 0 i
     | None ->
+        let scanned = Buffer.length t.rbuf in
         let remain = deadline -. Clock.now_s () in
         if deadline < infinity && remain <= 0.0 then raise Attempt_timeout;
         (match
@@ -195,9 +207,9 @@ let read_line t fd ~deadline =
                 ()
             | exception Unix.Unix_error (e, _, _) ->
                 failf "read failed: %s" (Unix.error_message e)));
-        go ()
+        go scanned
   in
-  go ()
+  go 0
 
 (* Server errors worth another attempt: the daemon is alive but this
    particular try was unlucky (queue full, worker crashed under it).

@@ -81,8 +81,10 @@ let snapshot_format = "ccmx-serve-snapshot"
 (* v2: Exact_cc.max_side went 16 -> 20, which moves the column masks
    and the tag salt within packed table keys — v1 segment entries
    would decode to different subproblems, so old snapshots must not
-   load. *)
-let snapshot_version = 2
+   load.  v3: content keys render rows as packed-word hex, not one
+   character per cell — v2 cache and tag keys would never match a
+   request again, so a v2 file is rejected whole. *)
+let snapshot_version = 3
 
 let config ~socket_path ?(workers = 2) ?snapshot_path ?(cache_capacity = 1024)
     ?table_budget ?(max_queue = 64) ?(drain_timeout_s = 30.0)
@@ -297,17 +299,6 @@ let record_latency t dt =
 (* Content keys                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let bitmat_key m =
-  let buf = Buffer.create 80 in
-  Buffer.add_string buf (Printf.sprintf "%dx%d:" (Bm.rows m) (Bm.cols m));
-  for i = 0 to Bm.rows m - 1 do
-    if i > 0 then Buffer.add_char buf '.';
-    for j = 0 to Bm.cols m - 1 do
-      Buffer.add_char buf (if Bm.get m i j then '1' else '0')
-    done
-  done;
-  Buffer.contents buf
-
 let zmatrix_key m =
   let buf = Buffer.create 80 in
   Buffer.add_string buf (Printf.sprintf "%dx%d:" (Zm.rows m) (Zm.cols m));
@@ -328,14 +319,14 @@ let content_key (req : Wire.request) =
   | Wire.Singular { matrix } -> Some ("singular:" ^ zmatrix_key matrix)
   | Wire.Lemma32 { n; k; seed } ->
       Some (Printf.sprintf "lemma32:%d:%d:%d" n k seed)
-  | Wire.Lower_bounds { matrix } -> Some ("lower_bounds:" ^ bitmat_key matrix)
+  | Wire.Lower_bounds { matrix } -> Some ("lower_bounds:" ^ Bm.key matrix)
   | Wire.Protocol_run { proto; n; k; seed; epsilon } ->
       Some (Printf.sprintf "protocol:%s:%d:%d:%d:%h" proto n k seed epsilon)
   | Wire.Rank_batch { matrices } ->
       Some
         ("rank_batch:"
         ^ String.concat "|"
-            (Array.to_list (Array.map bitmat_key matrices)))
+            (Array.to_list (Array.map Bm.key matrices)))
 
 (* ------------------------------------------------------------------ *)
 (* Compute handlers (worker side)                                      *)
@@ -1358,54 +1349,46 @@ let run ?(stop = Atomic.make false) (cfg : config) =
             (Printf.sprintf "request line exceeds %d bytes"
                cfg.max_line_bytes)))
   in
-  let drain_lines conn =
-    let s = Buffer.contents conn.rbuf in
-    let n = String.length s in
-    let start = ref 0 in
-    (try
-       while true do
-         let i = String.index_from s !start '\n' in
-         let len = i - !start in
-         (* a complete line can still breach the bound when it arrived
-            within one read chunk *)
-         if len > cfg.max_line_bytes then begin
-           start := i + 1;
-           shed_oversized conn
-         end
-         else begin
-           let line = String.sub s !start len in
-           start := i + 1;
-           handle_line t conn line
-         end
-       done
-     with Not_found -> ());
-    Buffer.clear conn.rbuf;
-    Buffer.add_substring conn.rbuf s !start (n - !start)
-  in
   (* A line that outgrows [max_line_bytes] gets one structured error,
      then the connection switches to discard mode: bytes are dropped
      until the newline that ends the oversized line, and parsing
      resumes with the next request.  The client keeps its connection —
-     and its reply ordering — instead of being disconnected. *)
+     and its reply ordering — instead of being disconnected.  Only the
+     new bytes of each chunk are searched for a newline; the pending
+     partial line in [rbuf] is copied out once, when it completes. *)
+  let rec newline i n =
+    if i >= n then -1
+    else if Bytes.unsafe_get rdbuf i = '\n' then i
+    else newline (i + 1) n
+  in
   let rec consume_chunk conn off n =
     if off < n then
-      if conn.discarding then
-        match Bytes.index_from_opt rdbuf off '\n' with
-        | Some i when i < n ->
-            conn.discarding <- false;
-            consume_chunk conn (i + 1) n
-        | _ -> ()  (* the whole rest of the chunk is oversized-line body *)
-      else begin
-        Buffer.add_subbytes conn.rbuf rdbuf off (n - off);
-        drain_lines conn;
-        if Buffer.length conn.rbuf > cfg.max_line_bytes then begin
-          (* The leftover is a partial (newline-free) line, so every
-             buffered byte belongs to the oversized request. *)
-          shed_oversized conn;
-          Buffer.clear conn.rbuf;
-          conn.discarding <- true
-        end
-      end
+      match newline off n with
+      | -1 ->
+          (* the rest of the chunk is a partial line *)
+          if not conn.discarding then begin
+            Buffer.add_subbytes conn.rbuf rdbuf off (n - off);
+            if Buffer.length conn.rbuf > cfg.max_line_bytes then begin
+              shed_oversized conn;
+              Buffer.clear conn.rbuf;
+              conn.discarding <- true
+            end
+          end
+      | i ->
+          if conn.discarding then conn.discarding <- false
+          else if Buffer.length conn.rbuf + (i - off) > cfg.max_line_bytes then begin
+            (* a complete line can still breach the bound when it
+               arrived within one read chunk *)
+            Buffer.clear conn.rbuf;
+            shed_oversized conn
+          end
+          else begin
+            Buffer.add_subbytes conn.rbuf rdbuf off (i - off);
+            let line = Buffer.contents conn.rbuf in
+            Buffer.clear conn.rbuf;
+            handle_line t conn line
+          end;
+          consume_chunk conn (i + 1) n
   in
   let accept_mconn mlfd =
     match Unix.accept mlfd with

@@ -68,7 +68,9 @@ val max_batch_size : int
 val parse : string -> (envelope, Commx_util.Json.t * string) result
 (** Parse one request line.  [Error (id, msg)] carries the request id
     when one could be recovered (so the error reply still correlates)
-    and a message fit to send back verbatim. *)
+    and a message fit to send back verbatim.  One walk over the line
+    validates it and decodes bit-matrix rows straight into row words;
+    no JSON tree is built for them. *)
 
 val ok : id:Commx_util.Json.t -> op:string ->
   (string * Commx_util.Json.t) list -> Commx_util.Json.t

@@ -39,6 +39,20 @@ let init nrows ncols f =
   done;
   m
 
+let of_packed_rows nrows ncols words =
+  if nrows < 0 || ncols < 0 then invalid_arg "Bitmat.of_packed_rows";
+  let w = Bitvec.words_for ncols in
+  { nrows; ncols;
+    data = Array.init nrows (fun i -> Bitvec.of_words ncols words (i * w)) }
+
+let key m =
+  let dims = string_of_int m.nrows ^ "x" ^ string_of_int m.ncols ^ ":" in
+  let width = Bitvec.hex_digits m.ncols and d = String.length dims in
+  let b = Bytes.create (d + (m.nrows * width)) in
+  Bytes.blit_string dims 0 b 0 d;
+  Array.iteri (fun i r -> Bitvec.blit_hex r b (d + (i * width))) m.data;
+  Bytes.unsafe_to_string b
+
 let transpose m = init m.ncols m.nrows (fun i j -> get m j i)
 
 let mul a b =

@@ -29,6 +29,19 @@ val row : t -> int -> Bitvec.t
 
 val init : int -> int -> (int -> int -> bool) -> t
 
+val of_packed_rows : int -> int -> int array -> t
+(** [of_packed_rows rows cols words] builds the matrix from row words
+    in {!Bitvec.of_words} layout: row [i] is stored in
+    [w = Bitvec.words_for cols] words from [words.(i * w)].  Copies, so
+    [words] can be a reused scratch buffer.
+    @raise Invalid_argument as {!Bitvec.of_words}. *)
+
+val key : t -> string
+(** Content address: ["<rows>x<cols>:"] then every row in
+    {!Bitvec.blit_hex} form, with no separator (the width is fixed by
+    [cols]).  Two matrices have the same key exactly when they are
+    {!equal}.  A 16x16 board takes 70 bytes. *)
+
 val transpose : t -> t
 
 val mul : t -> t -> t

@@ -120,6 +120,33 @@ let sub v pos len =
   done;
   r
 
+let of_words len src pos =
+  let n = words_for len in
+  if len < 0 || pos < 0 || pos + n > Array.length src then
+    invalid_arg "Bitvec.of_words";
+  let words = Array.sub src pos n in
+  for k = 0 to n - 1 do
+    let bits = min bits_per_word (len - (k * bits_per_word)) in
+    if words.(k) lsr bits <> 0 then invalid_arg "Bitvec.of_words: bit past the end"
+  done;
+  { len; words }
+
+(* Word by word, low nibble first: the same bits always give the same
+   digits, and the length fixes the width. *)
+let hex_digits len =
+  let full = len / bits_per_word and rest = len mod bits_per_word in
+  (full * ((bits_per_word + 3) / 4)) + ((rest + 3) / 4)
+
+let blit_hex v b pos =
+  let p = ref pos in
+  for k = 0 to Array.length v.words - 1 do
+    let w = v.words.(k) in
+    for d = 0 to ((min bits_per_word (v.len - (k * bits_per_word)) + 3) / 4) - 1 do
+      Bytes.set b !p "0123456789abcdef".[(w lsr (4 * d)) land 15];
+      incr p
+    done
+  done
+
 let to_string v = String.init v.len (fun i -> if get v i then '1' else '0')
 
 let of_string s =

@@ -11,6 +11,9 @@ val bits_per_word : int
 (** Bits stored per native word (62: all word-level operations stay in
     OCaml's tagged-integer range). *)
 
+val words_for : int -> int
+(** Storage words of a vector of the given length. *)
+
 val create : int -> t
 (** [create n] is an all-zero vector of length [n]. *)
 
@@ -64,6 +67,24 @@ val append : t -> t -> t
 
 val sub : t -> int -> int -> t
 (** [sub v pos len] extracts a contiguous slice. *)
+
+val of_words : int -> int array -> int -> t
+(** [of_words n words pos] is the length-[n] vector stored in
+    [words.(pos)] .. [words.(pos + words_for n - 1)]: bit [i] is bit
+    [i mod bits_per_word] of word [i / bits_per_word].  Copies.
+    @raise Invalid_argument when the words run past the array or set a
+    bit at or past [n]. *)
+
+val hex_digits : int -> int
+(** Digits {!blit_hex} writes for a vector of the given length. *)
+
+val blit_hex : t -> Bytes.t -> int -> unit
+(** [blit_hex v b pos] writes the bits at [b.[pos]] as fixed-width
+    lowercase hex: each storage word, low nibble first, in
+    [ceil (bits / 4)] digits for the bits it holds.  Vectors of one
+    length always take {!hex_digits} digits, and differ exactly when
+    their digits do.
+    @raise Invalid_argument when [b] is too short. *)
 
 val to_string : t -> string
 (** Bits as ['0']/['1'] characters, index 0 first. *)

@@ -11,22 +11,27 @@ type t =
 (* Emitter                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Escape-free strings, the common case, are copied in one blit. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
 
 (* Shortest decimal that round-trips; falls back to 17 significant
@@ -108,204 +113,276 @@ let member key = function
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type cursor = { src : string; mutable pos : int }
+(* One recursive-descent parser over a mutable cursor.  [of_string]
+   drives it to build the whole tree; a caller that needs only part of
+   a document (the serve daemon's request decoder) drives the same
+   cursor and skips the rest, so both see one grammar and one set of
+   error messages. *)
+module Cursor = struct
+  type json = t
+  type t = { src : string; mutable pos : int }
 
-let fail cur msg =
-  failwith (Printf.sprintf "Json.of_string: %s at offset %d" msg cur.pos)
+  let create ?(pos = 0) src = { src; pos }
+  let pos cur = cur.pos
 
-let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
+  let fail cur msg =
+    failwith (Printf.sprintf "Json.of_string: %s at offset %d" msg cur.pos)
 
-let advance cur = cur.pos <- cur.pos + 1
+  let at_end cur = cur.pos >= String.length cur.src
 
-let skip_ws cur =
-  while
-    match peek cur with
-    | Some (' ' | '\t' | '\n' | '\r') -> true
-    | _ -> false
-  do
-    advance cur
-  done
+  (* The byte under the cursor, ['\000'] at the end of input: code that
+     must tell a literal NUL from the end tests [at_end] first.  A
+     [char option] here would allocate on every byte. *)
+  let peek cur =
+    if cur.pos < String.length cur.src then String.unsafe_get cur.src cur.pos
+    else '\000'
 
-let expect cur c =
-  match peek cur with
-  | Some c' when c' = c -> advance cur
-  | _ -> fail cur (Printf.sprintf "expected %C" c)
+  let advance cur = cur.pos <- cur.pos + 1
 
-let parse_literal cur word value =
-  let n = String.length word in
-  if
-    cur.pos + n <= String.length cur.src
-    && String.sub cur.src cur.pos n = word
-  then begin
-    cur.pos <- cur.pos + n;
-    value
-  end
-  else fail cur (Printf.sprintf "expected %s" word)
+  let skip_ws cur =
+    while match peek cur with ' ' | '\t' | '\n' | '\r' -> true | _ -> false do
+      advance cur
+    done
 
-(* Encode a Unicode code point as UTF-8. *)
-let add_utf8 buf cp =
-  if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-  else if cp < 0x800 then begin
-    Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-  else if cp < 0x10000 then begin
-    Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-  else begin
-    Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
+  let next_is cur c =
+    skip_ws cur;
+    (not (at_end cur)) && peek cur = c
 
-let parse_hex4 cur =
-  let v = ref 0 in
-  for _ = 1 to 4 do
+  let expect cur c =
+    if peek cur = c then advance cur
+    else fail cur (Printf.sprintf "expected %C" c)
+
+  let literal cur word value =
+    let n = String.length word in
+    let rec matches i =
+      i = n
+      || (String.unsafe_get cur.src (cur.pos + i) = word.[i] && matches (i + 1))
+    in
+    if cur.pos + n <= String.length cur.src && matches 0 then begin
+      cur.pos <- cur.pos + n;
+      value
+    end
+    else fail cur (Printf.sprintf "expected %s" word)
+
+  (* Encode a Unicode code point as UTF-8. *)
+  let add_utf8 buf cp =
+    if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
+    else if cp < 0x800 then begin
+      Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
+      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+    end
+    else if cp < 0x10000 then begin
+      Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
+      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+    end
+    else begin
+      Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
+      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
+      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+    end
+
+  let hex4 cur =
+    let v = ref 0 in
+    for _ = 1 to 4 do
+      (match peek cur with
+      | '0' .. '9' as c -> v := (!v * 16) + Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> v := (!v * 16) + Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> v := (!v * 16) + Char.code c - Char.code 'A' + 10
+      | _ -> fail cur "expected hex digit");
+      advance cur
+    done;
+    !v
+
+  (* Past the opening quote, scan to the first quote or backslash.  An
+     escape-free literal leaves the cursor past its closing quote and
+     gives [true]; otherwise the cursor is just past the first
+     backslash. *)
+  let plain cur =
+    expect cur '"';
+    let src = cur.src in
+    let n = String.length src in
+    let i = ref cur.pos in
+    while
+      !i < n && match String.unsafe_get src !i with '"' | '\\' -> false | _ -> true
+    do
+      incr i
+    done;
+    cur.pos <- !i;
+    if !i >= n then fail cur "unterminated string";
+    advance cur;
+    src.[!i] = '"'
+
+  (* Decode the rest of a literal into [buf], the cursor just past a
+     backslash. *)
+  let rec escaped cur buf =
+    let add c =
+      Buffer.add_char buf c;
+      advance cur
+    in
     (match peek cur with
-    | Some c when c >= '0' && c <= '9' -> v := (!v * 16) + Char.code c - Char.code '0'
-    | Some c when c >= 'a' && c <= 'f' -> v := (!v * 16) + Char.code c - Char.code 'a' + 10
-    | Some c when c >= 'A' && c <= 'F' -> v := (!v * 16) + Char.code c - Char.code 'A' + 10
-    | _ -> fail cur "expected hex digit");
-    advance cur
-  done;
-  !v
-
-let parse_string cur =
-  expect cur '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek cur with
-    | None -> fail cur "unterminated string"
-    | Some '"' -> advance cur
-    | Some '\\' ->
+    | ('"' | '\\' | '/') as c -> add c
+    | 'n' -> add '\n'
+    | 'r' -> add '\r'
+    | 't' -> add '\t'
+    | 'b' -> add '\b'
+    | 'f' -> add '\012'
+    | 'u' ->
         advance cur;
-        (match peek cur with
-        | Some '"' -> Buffer.add_char buf '"'; advance cur
-        | Some '\\' -> Buffer.add_char buf '\\'; advance cur
-        | Some '/' -> Buffer.add_char buf '/'; advance cur
-        | Some 'n' -> Buffer.add_char buf '\n'; advance cur
-        | Some 'r' -> Buffer.add_char buf '\r'; advance cur
-        | Some 't' -> Buffer.add_char buf '\t'; advance cur
-        | Some 'b' -> Buffer.add_char buf '\b'; advance cur
-        | Some 'f' -> Buffer.add_char buf '\012'; advance cur
-        | Some 'u' ->
-            advance cur;
-            let cp = parse_hex4 cur in
-            (* Surrogate pair *)
-            if cp >= 0xD800 && cp <= 0xDBFF then begin
-              expect cur '\\';
-              expect cur 'u';
-              let lo = parse_hex4 cur in
-              if lo < 0xDC00 || lo > 0xDFFF then fail cur "invalid low surrogate";
-              add_utf8 buf (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
-            end
-            else add_utf8 buf cp
-        | _ -> fail cur "invalid escape");
-        loop ()
-    | Some c -> Buffer.add_char buf c; advance cur; loop ()
-  in
-  loop ();
-  Buffer.contents buf
+        let cp = hex4 cur in
+        (* Surrogate pair *)
+        if cp >= 0xD800 && cp <= 0xDBFF then begin
+          expect cur '\\';
+          expect cur 'u';
+          let lo = hex4 cur in
+          if lo < 0xDC00 || lo > 0xDFFF then fail cur "invalid low surrogate";
+          add_utf8 buf (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
+        end
+        else add_utf8 buf cp
+    | _ -> fail cur "invalid escape");
+    let rec chars () =
+      if at_end cur then fail cur "unterminated string";
+      match peek cur with
+      | '"' -> advance cur
+      | '\\' ->
+          advance cur;
+          escaped cur buf
+      | c ->
+          Buffer.add_char buf c;
+          advance cur;
+          chars ()
+    in
+    chars ()
 
-let parse_number cur =
-  let start = cur.pos in
-  let is_float = ref false in
-  let consume () =
+  let slice cur =
+    skip_ws cur;
+    let start = cur.pos + 1 in
+    if plain cur then (cur.src, start, cur.pos - 1 - start)
+    else begin
+      let buf = Buffer.create (cur.pos - start + 16) in
+      Buffer.add_substring buf cur.src start (cur.pos - 1 - start);
+      escaped cur buf;
+      let s = Buffer.contents buf in
+      (s, 0, String.length s)
+    end
+
+  let string cur =
+    let s, off, len = slice cur in
+    if s == cur.src then String.sub s off len else s
+
+  let number cur =
+    let start = cur.pos in
+    let is_float = ref false in
     while
       match peek cur with
-      | Some ('0' .. '9' | '-' | '+') -> true
-      | Some ('.' | 'e' | 'E') ->
+      | '0' .. '9' | '-' | '+' -> true
+      | '.' | 'e' | 'E' ->
           is_float := true;
           true
       | _ -> false
     do
       advance cur
-    done
-  in
-  consume ();
-  let s = String.sub cur.src start (cur.pos - start) in
-  if !is_float then
-    match float_of_string_opt s with
-    | Some f -> Float f
-    | None -> fail cur "malformed number"
-  else
-    match int_of_string_opt s with
-    | Some i -> Int i
-    | None -> (
-        (* Integer literal out of native range: keep it as a float. *)
-        match float_of_string_opt s with
-        | Some f -> Float f
-        | None -> fail cur "malformed number")
+    done;
+    let s = String.sub cur.src start (cur.pos - start) in
+    if !is_float then
+      match float_of_string_opt s with
+      | Some f -> Float f
+      | None -> fail cur "malformed number"
+    else
+      match int_of_string_opt s with
+      | Some i -> Int i
+      | None -> (
+          (* Integer literal out of native range: keep it as a float. *)
+          match float_of_string_opt s with
+          | Some f -> Float f
+          | None -> fail cur "malformed number")
 
-let rec parse_value cur =
-  skip_ws cur;
-  match peek cur with
-  | None -> fail cur "unexpected end of input"
-  | Some 'n' -> parse_literal cur "null" Null
-  | Some 't' -> parse_literal cur "true" (Bool true)
-  | Some 'f' -> parse_literal cur "false" (Bool false)
-  | Some 'N' -> parse_literal cur "NaN" (Float Float.nan)
-  | Some 'I' -> parse_literal cur "Infinity" (Float Float.infinity)
-  | Some '-'
-    when cur.pos + 1 < String.length cur.src && cur.src.[cur.pos + 1] = 'I' ->
-      advance cur;
-      parse_literal cur "Infinity" (Float Float.neg_infinity)
-  | Some '"' -> String (parse_string cur)
-  | Some '[' ->
-      advance cur;
-      skip_ws cur;
-      if peek cur = Some ']' then begin
+  let rec value cur : json =
+    skip_ws cur;
+    if at_end cur then fail cur "unexpected end of input";
+    match peek cur with
+    | 'n' -> literal cur "null" Null
+    | 't' -> literal cur "true" (Bool true)
+    | 'f' -> literal cur "false" (Bool false)
+    | 'N' -> literal cur "NaN" (Float Float.nan)
+    | 'I' -> literal cur "Infinity" (Float Float.infinity)
+    | '-'
+      when cur.pos + 1 < String.length cur.src && cur.src.[cur.pos + 1] = 'I' ->
         advance cur;
-        List []
-      end
-      else begin
+        literal cur "Infinity" (Float Float.neg_infinity)
+    | '"' -> String (string cur)
+    | '[' ->
         let items = ref [] in
-        let rec loop () =
-          items := parse_value cur :: !items;
-          skip_ws cur;
-          match peek cur with
-          | Some ',' -> advance cur; loop ()
-          | Some ']' -> advance cur
-          | _ -> fail cur "expected ',' or ']'"
-        in
-        loop ();
+        list cur (fun cur -> items := value cur :: !items);
         List (List.rev !items)
-      end
-  | Some '{' ->
-      advance cur;
-      skip_ws cur;
-      if peek cur = Some '}' then begin
-        advance cur;
-        Obj []
-      end
-      else begin
+    | '{' ->
         let fields = ref [] in
-        let rec loop () =
-          skip_ws cur;
-          let key = parse_string cur in
-          skip_ws cur;
-          expect cur ':';
-          fields := (key, parse_value cur) :: !fields;
-          skip_ws cur;
-          match peek cur with
-          | Some ',' -> advance cur; loop ()
-          | Some '}' -> advance cur
-          | _ -> fail cur "expected ',' or '}'"
-        in
-        loop ();
+        obj cur (fun cur key -> fields := (key, value cur) :: !fields);
         Obj (List.rev !fields)
-      end
-  | Some ('-' | '0' .. '9') -> parse_number cur
-  | Some c -> fail cur (Printf.sprintf "unexpected character %C" c)
+    | '-' | '0' .. '9' -> number cur
+    | c -> fail cur (Printf.sprintf "unexpected character %C" c)
+
+  and list cur item =
+    skip_ws cur;
+    expect cur '[';
+    skip_ws cur;
+    if peek cur = ']' then advance cur
+    else
+      let rec loop () =
+        item cur;
+        skip_ws cur;
+        match peek cur with
+        | ',' ->
+            advance cur;
+            loop ()
+        | ']' -> advance cur
+        | _ -> fail cur "expected ',' or ']'"
+      in
+      loop ()
+
+  and obj cur member =
+    skip_ws cur;
+    expect cur '{';
+    skip_ws cur;
+    if peek cur = '}' then advance cur
+    else
+      let rec loop () =
+        skip_ws cur;
+        let key = string cur in
+        skip_ws cur;
+        expect cur ':';
+        member cur key;
+        skip_ws cur;
+        match peek cur with
+        | ',' ->
+            advance cur;
+            loop ()
+        | '}' -> advance cur
+        | _ -> fail cur "expected ',' or '}'"
+      in
+      loop ()
+
+  (* [value] without the tree: the same checks in the same order, so the
+     same malformed input fails with the same message. *)
+  let rec skip cur =
+    skip_ws cur;
+    match peek cur with
+    | '"' ->
+        if not (plain cur) then escaped cur (Buffer.create 16)
+    | '[' -> list cur skip
+    | '{' -> obj cur (fun cur _ -> skip cur)
+    | _ -> ignore (value cur)
+
+  let finish cur =
+    skip_ws cur;
+    if not (at_end cur) then fail cur "trailing garbage"
+end
 
 let of_string s =
-  let cur = { src = s; pos = 0 } in
-  let v = parse_value cur in
-  skip_ws cur;
-  if cur.pos <> String.length s then fail cur "trailing garbage";
+  let cur = Cursor.create s in
+  let v = Cursor.value cur in
+  Cursor.finish cur;
   v
 
 (* ------------------------------------------------------------------ *)

@@ -43,6 +43,51 @@ val member : string -> t -> t option
 (** [member key (Obj _)] is the first binding of [key], if any; [None]
     on non-objects. *)
 
+(** The parser's cursor, for a caller that walks one document without
+    building all of it: it can validate and skip a value, or take a
+    string literal as a slice of the text.  {!of_string} is built on
+    the same functions, so a document fails here exactly where, and
+    with exactly the message, it fails there.  Every function raises
+    [Failure] as {!of_string} does. *)
+module Cursor : sig
+  type json := t
+  type t
+
+  val create : ?pos:int -> string -> t
+  (** A cursor on the text at byte [pos] (default 0). *)
+
+  val pos : t -> int
+
+  val next_is : t -> char -> bool
+  (** Skip whitespace; is the next byte the given one? *)
+
+  val value : t -> json
+  (** Parse one value (leading whitespace allowed). *)
+
+  val skip : t -> unit
+  (** Validate one value and move past it without building it; no
+      allocation unless a string in it has escapes. *)
+
+  val slice : t -> string * int * int
+  (** The string literal at the cursor (leading whitespace allowed) as
+      [(s, off, len)]: when it has no escapes, a view of the text
+      itself ([s] is the text, not a copy); otherwise its decoded
+      contents ([off = 0]). *)
+
+  val list : t -> (t -> unit) -> unit
+  (** [list c item] parses a JSON array, calling [item c] once per
+      element; [item] must consume exactly one value. *)
+
+  val obj : t -> (t -> string -> unit) -> unit
+  (** [obj c member] parses a JSON object, calling [member c key] once
+      per member with the cursor before its value; [member] must
+      consume exactly that value. *)
+
+  val finish : t -> unit
+  (** Only whitespace may remain; fails with ["trailing garbage"]
+      otherwise. *)
+end
+
 (** Atomic file publication, shared by {!to_file} and incremental
     writers (the telemetry trace exporter).  A sink writes to a
     uniquely-named sibling temp file; {!Atomic.commit} renames it into

@@ -108,6 +108,28 @@ let test_suite_smoke () =
     reports;
   Alcotest.(check bool) "all_passed agrees" true (Runner.all_passed reports)
 
+(* The properties added with the packed-word request path, at a
+   count well past the smoke tier: the 62/63/64-column boundary, escapes,
+   malformed boards and over-cap batches all need many draws. *)
+let test_wire_and_key_properties () =
+  let props =
+    List.filter
+      (fun p ->
+        List.mem (Property.name p)
+          [ "wire.bit_matrix_decode"; "exact_cc.canonical_key_classes";
+            "json.roundtrip" ])
+      (Suite.all ())
+  in
+  Alcotest.(check int) "three properties" 3 (List.length props);
+  List.iter
+    (fun (r : Runner.report) ->
+      match r.Runner.outcome with
+      | Runner.Pass -> ()
+      | Runner.Failed f ->
+          Alcotest.failf "property %s failed on %s: %s" r.Runner.name
+            f.Runner.counterexample f.Runner.message)
+    (Runner.run ~seed:20261017 ~count:1500 props)
+
 let () =
   Alcotest.run "check"
     [ ( "runner",
@@ -122,4 +144,6 @@ let () =
           Alcotest.test_case "budget + filter" `Quick test_budget_and_filter ] );
       ( "suite",
         [ Alcotest.test_case "differential suite smoke" `Quick
-            test_suite_smoke ] ) ]
+            test_suite_smoke;
+          Alcotest.test_case "wire decode + content keys" `Quick
+            test_wire_and_key_properties ] ) ]

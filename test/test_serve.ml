@@ -474,6 +474,91 @@ let test_serve_rejects_corrupt_snapshot () =
          | _ -> false)
        !logs)
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Content keys changed format in snapshot v3: a v2 file — here a
+   complete, warm snapshot relabelled v2 — is rejected whole, so the
+   daemon starts cold rather than half-warm. *)
+let test_serve_v2_snapshot_starts_cold () =
+  let snapshot_path = fresh_path ".snap" in
+  let logs = ref [] in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove snapshot_path with Sys_error _ -> ())
+    (fun () ->
+      with_server ~snapshot_path (fun path ->
+          let c = connect path in
+          Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+          assert_ok (rpc c (exact_cc_req board_json));
+          assert_ok (rpc c (Json.Obj [ ("op", Json.String "shutdown") ])));
+      (match Json.of_file snapshot_path with
+      | Json.Obj fields ->
+          Alcotest.(check bool) "written as v3" true
+            (List.assoc_opt "version" fields = Some (Json.Int 3));
+          Json.to_file ~path:snapshot_path
+            (Json.Obj
+               (List.map
+                  (fun (k, v) -> if k = "version" then (k, Json.Int 2) else (k, v))
+                  fields))
+      | _ -> Alcotest.fail "snapshot is not an object");
+      with_server ~snapshot_path
+        ~logger:(Logging.create ~sink:(fun r -> logs := r :: !logs) ())
+        (fun path ->
+          let c = connect path in
+          Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+          let r = rpc c (exact_cc_req board_json) in
+          assert_ok r;
+          Alcotest.(check string) "no cached results" "miss"
+            (string_field r "cache");
+          Alcotest.(check bool) "no table warmth" true (int_field r "nodes" > 0)));
+  Alcotest.(check bool) "rejection logged" true
+    (List.exists
+       (fun record ->
+         match Json.member "msg" record with
+         | Some (Json.String msg) -> contains ~sub:"unsupported snapshot version 2" msg
+         | _ -> false)
+       !logs)
+
+(* In process, [ccmx bench load] answers every exact_cc board from one
+   warm table per worker, each canonical board under its own tag; every
+   answer must equal a fresh-table search.  The boards that search (the
+   root bounds do not settle them) are distinct canonical boards whose
+   subproblems share mask keys: under one shared tag, at least one of
+   these gets a wrong value. *)
+let test_load_in_process_tags_per_board () =
+  let module Load = Commx_load.Load in
+  let module Traffic = Commx_util.Traffic in
+  let module E = Commx_comm.Exact_cc in
+  let g = Commx_util.Prng.create 21 in
+  let searching =
+    List.filter
+      (fun m -> (snd (E.search m)).E.nodes > 0)
+      (List.init 3000 (fun k ->
+           if k mod 2 = 1 then Bm.random g 8 8
+           else Bm.mul (Bm.random g 8 5) (Bm.random g 5 8)))
+  in
+  Alcotest.(check bool) "boards that search" true (List.length searching >= 5);
+  let mix = [ (Traffic.Exact_cc, 1.0) ] in
+  let stream =
+    Array.to_list
+      (Array.map
+         (fun r ->
+           match Load.materialize r with
+           | Load.P_exact m -> m
+           | _ -> Alcotest.fail "not an exact_cc payload")
+         (Traffic.stream ~seed:11 ~mix ~arrival:(Traffic.Closed { concurrency = 1 })
+            ~count:30))
+  in
+  let table = Commx_util.Txtable.create () and tags = Cache.Tags.create () in
+  List.iteri
+    (fun i m ->
+      Alcotest.(check string) (Printf.sprintf "answer %d" i)
+        (Printf.sprintf "cc=%d" (fst (E.search m)))
+        (Load.answer_in_process ~table ~tags (Load.P_exact m)))
+    (searching @ stream @ List.rev searching)
+
 (* ------------------------------------------------------------------ *)
 (* Self-healing: deadlines, crashes, shedding, oversized lines,        *)
 (* periodic snapshots, resilient client                                *)
@@ -1151,6 +1236,76 @@ let test_client_end_to_end () =
       Alcotest.(check string) "breaker stays closed" "closed"
         (Client.breaker_state cl))
 
+let rows_json m =
+  Json.List
+    (List.init (Bm.rows m) (fun i ->
+         Json.String
+           (String.init (Bm.cols m) (fun j -> if Bm.get m i j then '1' else '0'))))
+
+let check_ranks boards reply =
+  Alcotest.(check int) "count" (Array.length boards) (int_field reply "count");
+  match Json.member "values" reply with
+  | Some (Json.List values) ->
+      List.iteri
+        (fun i v ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "rank of board %d" i)
+            (Some (Bm.rank boards.(i)))
+            (match v with Json.Int r -> Some r | _ -> None))
+        values
+  | _ -> Alcotest.fail "reply lacks a values list"
+
+(* With no request timeout the client must block on a full socket, not
+   hand [Unix.select] an infinite timeout (EINVAL): a full 1024-board
+   batch line (~313 KB) overruns the socket buffer. *)
+let test_client_no_timeout_full_batch () =
+  with_server ~workers:1 (fun path ->
+      let cl = Client.create ~retries:0 ~socket_path:path () in
+      Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+      let g = Commx_util.Prng.create 5 in
+      let boards =
+        Array.init Wire.max_batch_size (fun _ -> Bm.random g 16 16)
+      in
+      match
+        Client.request cl ~op:"rank_batch"
+          [ ("matrices", Json.List (Array.to_list (Array.map rows_json boards))) ]
+      with
+      | Ok reply -> check_ranks boards reply
+      | Error e -> Alcotest.failf "rank_batch: %s" (Client.error_to_string e))
+
+(* One request line dribbled out in many small writes: the daemon
+   reassembles it (searching only the new bytes of each chunk). *)
+let test_serve_line_split_across_writes () =
+  with_server ~workers:1 (fun path ->
+      let c = connect path in
+      Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+      let g = Commx_util.Prng.create 8 in
+      let boards = Array.init 100 (fun _ -> Bm.random g 16 16) in
+      let line =
+        Wire.to_line
+          (Json.Obj
+             [ ("op", Json.String "rank_batch"); ("id", Json.Int 7);
+               ( "matrices",
+                 Json.List (Array.to_list (Array.map rows_json boards)) ) ])
+      in
+      let b = Bytes.of_string line in
+      let piece = 500 in
+      let rec go off =
+        if off < Bytes.length b then begin
+          let n = min piece (Bytes.length b - off) in
+          let w = Unix.write c.fd b off n in
+          Clock.sleepf 0.0005;
+          go (off + w)
+        end
+      in
+      go 0;
+      let reply = recv c in
+      assert_ok reply;
+      Alcotest.(check int) "id" 7 (int_field reply "id");
+      check_ranks boards reply;
+      (* the connection is in step for the next request *)
+      assert_ok (rpc c (Json.Obj [ ("op", Json.String "ping") ])))
+
 let test_client_breaker_opens_and_fails_fast () =
   (* nothing listens at this path: every attempt is a transport
      failure, and after the threshold the breaker fails fast without
@@ -1208,6 +1363,10 @@ let () =
             test_serve_snapshot_restart_stays_warm;
           Alcotest.test_case "corrupt snapshot rejected" `Quick
             test_serve_rejects_corrupt_snapshot;
+          Alcotest.test_case "v2 snapshot starts cold" `Quick
+            test_serve_v2_snapshot_starts_cold;
+          Alcotest.test_case "in-process load tags per board" `Quick
+            test_load_in_process_tags_per_board;
           Alcotest.test_case "rank_batch op end-to-end" `Quick
             test_serve_rank_batch ] );
       ( "self-healing",
@@ -1223,6 +1382,8 @@ let () =
             test_serve_overload_shedding_is_immediate_and_ordered;
           Alcotest.test_case "too_large rejected at admission" `Quick
             test_serve_too_large_rejected_at_admission;
+          Alcotest.test_case "line split across writes" `Quick
+            test_serve_line_split_across_writes;
           Alcotest.test_case "oversized line recovery" `Quick
             test_serve_oversized_line_recovery;
           Alcotest.test_case "periodic snapshots" `Quick
@@ -1238,6 +1399,8 @@ let () =
             test_serve_chaos_log_file_is_json_lines ] );
       ( "client",
         [ Alcotest.test_case "end to end" `Quick test_client_end_to_end;
+          Alcotest.test_case "no timeout, full 1024-board batch" `Quick
+            test_client_no_timeout_full_batch;
           Alcotest.test_case "breaker opens + fails fast" `Quick
             test_client_breaker_opens_and_fails_fast ] )
     ]

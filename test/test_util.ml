@@ -319,6 +319,57 @@ let test_stats_percentile_pathological () =
    wider than one machine word (the fallback path), and the empty
    batch.  The fuzzed equivalence lives in commx_check; this pins the
    edges deterministically. *)
+(* Content keys: the shape is part of the key (the same 16 bits as
+   1x16, 16x1 and 2x8 give three keys), rows are fixed-width hex, and
+   across the 62-bit word boundary a flip of any one bit moves the
+   key. *)
+let test_bitmat_key () =
+  let bits = 0b1011_0010_1110_0101 in
+  let shaped r c = Bm.init r c (fun i j -> (bits lsr ((i * c) + j)) land 1 = 1) in
+  let keys = List.map (fun (r, c) -> Bm.key (shaped r c)) [ (1, 16); (16, 1); (2, 8) ] in
+  Alcotest.(check int) "three shapes, three keys" 3
+    (List.length (List.sort_uniq compare keys));
+  Alcotest.(check string) "2x8 rendering" "2x8:5e2b" (Bm.key (shaped 2 8));
+  let g = Prng.create 3 in
+  Alcotest.(check int) "16x16 key length" 70 (String.length (Bm.key (Bm.random g 16 16)));
+  List.iter
+    (fun cols ->
+      let m = Bm.random g 3 cols in
+      let k = Bm.key m in
+      Alcotest.(check int)
+        (Printf.sprintf "fixed width at %d columns" cols)
+        (String.length (Bm.key (Bm.create 3 cols))) (String.length k);
+      for j = 0 to cols - 1 do
+        let m' = Bm.copy m in
+        Bm.set m' 1 j (not (Bm.get m 1 j));
+        if Bm.key m' = k then Alcotest.failf "flip at column %d of %d kept the key" j cols
+      done)
+    [ 61; 62; 63; 64 ]
+
+let test_bitmat_of_packed_rows () =
+  let g = Prng.create 4 in
+  List.iter
+    (fun (r, c) ->
+      let m = Bm.random g r c in
+      let w = Bv.words_for c in
+      let words = Array.make ((r * w) + 3) 0 in
+      for i = 0 to r - 1 do
+        for j = 0 to c - 1 do
+          if Bm.get m i j then begin
+            let k = (i * w) + (j / Bv.bits_per_word) in
+            words.(k) <- words.(k) lor (1 lsl (j mod Bv.bits_per_word))
+          end
+        done
+      done;
+      Alcotest.(check bool) (Printf.sprintf "%dx%d rebuilt" r c) true
+        (Bm.equal m (Bm.of_packed_rows r c words)))
+    [ (1, 1); (5, 62); (4, 63); (64, 64); (3, 0); (0, 5) ];
+  Alcotest.check_raises "bit past the last column"
+    (Invalid_argument "Bitvec.of_words: bit past the end") (fun () ->
+      ignore (Bm.of_packed_rows 1 3 [| 0b1000 |]));
+  Alcotest.check_raises "words run short" (Invalid_argument "Bitvec.of_words")
+    (fun () -> ignore (Bm.of_packed_rows 2 64 [| 0; 0; 0 |]))
+
 let test_bitmat_rank_batch () =
   let g = Prng.create 2026 in
   let boards =
@@ -642,6 +693,30 @@ let prop_json_float_roundtrip x =
   | Json.Int y -> float_of_int y = x
   | _ -> false
 
+(* The cursor skips a value with exactly the checks [of_string] makes,
+   and slices escape-free strings out of the text itself. *)
+let test_json_cursor () =
+  let outcome f = match f () with () -> "ok" | exception Failure m -> m in
+  List.iter
+    (fun s ->
+      let parsed = outcome (fun () -> ignore (Json.of_string s)) in
+      let skipped =
+        outcome (fun () ->
+            let c = Json.Cursor.create s in
+            Json.Cursor.skip c;
+            Json.Cursor.finish c)
+      in
+      Alcotest.(check string) (Printf.sprintf "skip %S" s) parsed skipped)
+    [ "{\"a\":[1,2.5,\"x\\u0041\"]}"; "[1,"; "\"abc"; "\"a\\q\""; "{\"a\" 1}";
+      "[1 2]"; "nul"; "-Infinity"; "\"\\ud800\\u0041\""; "[] x"; ""; "1e" ];
+  let c = Json.Cursor.create "  \"0110\" \"0\\u0031\"" in
+  let s, off, len = Json.Cursor.slice c in
+  Alcotest.(check string) "plain literal" "0110" (String.sub s off len);
+  Alcotest.(check int) "a view of the text, not a copy" 3 off;
+  let s, off, len = Json.Cursor.slice c in
+  Alcotest.(check string) "escaped literal decoded" "01" (String.sub s off len);
+  Alcotest.(check bool) "at the end" false (Json.Cursor.next_is c '"')
+
 let test_json_parse_errors () =
   List.iter
     (fun s ->
@@ -939,7 +1014,9 @@ let () =
           qtest "rank transpose" QCheck.small_int prop_bitmat_rank_transpose;
           qtest "rank bounds" QCheck.small_int prop_bitmat_rank_bounds;
           qtest "submatrix" QCheck.small_int prop_bitmat_submatrix;
-          Alcotest.test_case "rank_batch edges" `Quick test_bitmat_rank_batch ] );
+          Alcotest.test_case "rank_batch edges" `Quick test_bitmat_rank_batch;
+          Alcotest.test_case "content key" `Quick test_bitmat_key;
+          Alcotest.test_case "of_packed_rows" `Quick test_bitmat_of_packed_rows ] );
       ( "stats",
         [ Alcotest.test_case "known values" `Quick test_stats_known;
           Alcotest.test_case "fits" `Quick test_stats_fit;
@@ -978,6 +1055,7 @@ let () =
             test_json_nonfinite_roundtrip;
           Alcotest.test_case "parse errors + member" `Quick
             test_json_parse_errors;
+          Alcotest.test_case "cursor skip + slice" `Quick test_json_cursor;
           qtest "float roundtrip bit-exact" QCheck.float
             prop_json_float_roundtrip;
           qtest "control-char string roundtrip" QCheck.small_int
