@@ -416,13 +416,55 @@ let txtable_eviction_fail_soft =
 (* Exact CC: optimized search vs. reference enumerator and bounds      *)
 (* ------------------------------------------------------------------ *)
 
+(* Half the draws are uniform boards up to 5x5.  The other half are
+   GF(2) products [A (r x k) * B (k x c)] with sides 6..8 and rank at
+   most 4: low rank keeps the root bound short of the trivial upper
+   bound often enough that the search expands nodes, where the interior
+   rank cut closes most children.  The raw reference recursion is
+   exponential beyond 5x5, so larger boards are checked against it with
+   only its table turned on — still exhaustive, no pruning, no
+   canonicalization. *)
+let gen_reference_board g =
+  if Prng.bool g then gen_small_bitmat 1 5 g
+  else begin
+    let r = Prng.int_incl g 6 8 in
+    let c = Prng.int_incl g 6 8 in
+    let k = Prng.int_incl g 2 4 in
+    let a = Bitmat.random g r k in
+    Bitmat.mul a (Bitmat.random g k c)
+  end
+
 let exact_cc_vs_reference =
   Property.make ~name:"exact_cc.optimized_vs_reference"
-    ~gen:(gen_small_bitmat 1 5) ~shrink:Shrink.bitmat ~show:show_bitmat
+    ~gen:gen_reference_board ~shrink:Shrink.bitmat ~show:show_bitmat
     (fun m ->
       let v_opt, _ = Exact_cc.search m in
-      let v_ref, _ = Exact_cc.search ~config:Exact_cc.reference_config m in
+      let config =
+        if max (Bitmat.rows m) (Bitmat.cols m) <= 5 then
+          Exact_cc.reference_config
+        else { Exact_cc.reference_config with table = true }
+      in
+      let v_ref, _ = Exact_cc.search ~config m in
       all_of [ ("cc", fun () -> v_opt = v_ref) ])
+
+let exact_cc_fail_soft =
+  (* [min (exact, bound)] for every bound up to one past the value:
+     the contract the interior rank cut must keep.  A cut that
+     over-claims by one, or reports its lower bound instead of the
+     search bound, breaks it at the root call already. *)
+  let gen g =
+    let m = gen_reference_board g in
+    (m, Prng.int_incl g 0 5)
+  in
+  Property.make ~name:"exact_cc.fail_soft" ~gen
+    ~shrink:(Shrink.pair Shrink.bitmat Shrink.int)
+    ~show:(fun (m, bound) ->
+      Printf.sprintf "bound=%d\n%s" bound (show_bitmat m))
+    (fun (m, bound) ->
+      let exact = Exact_cc.complexity m in
+      all_of
+        [ ( "min(exact,bound)",
+            fun () -> Exact_cc.bounded m ~bound = min exact bound ) ])
 
 let exact_cc_sandwiched =
   Property.make ~name:"exact_cc.bounds_sandwich" ~gen:(gen_small_bitmat 1 6)
@@ -970,6 +1012,7 @@ let all () =
     txtable_vs_model;
     txtable_eviction_fail_soft;
     exact_cc_vs_reference;
+    exact_cc_fail_soft;
     exact_cc_sandwiched;
     exact_cc_lb_portfolio_sound;
     zmatrix_det_agreement;

@@ -18,8 +18,9 @@ module Pool = Commx_util.Pool
    protocol bit inverted, so we halve the enumeration by fixing the
    lowest set bit into R0.
 
-   On top of the recursion sit four independent accelerations (all
-   toggleable through [config], see the interface):
+   On top of the recursion sit five accelerations (the first four
+   toggleable through [config], the fifth riding on [prune]; see the
+   interface):
 
    - packed keys: a subproblem is [rmask lor (cmask lsl max_side)],
      one native int;
@@ -39,7 +40,18 @@ module Pool = Commx_util.Pool
      incumbent hits the node lower bound.  The root lower bound is
      certified from GF(2) ranks and a greedy fooling set: a depth-C
      protocol has at most 2^C leaves, at least [max(rank M, |fooling|)]
-     of which are 1-leaves and at least [rank (complement M)] 0-leaves.
+     of which are 1-leaves and at least [rank (complement M)] 0-leaves;
+   - the interior rank cut: the same leaf count bounds every
+     sub-board.  The 1-leaves of a depth-C protocol for it partition
+     its ones into rectangles, each of GF(2) rank 1, so there are at
+     least [rank M] of them; the 0-leaves likewise cover the
+     complement.  Hence C >= [ceil_log2 (rank M + rank (J - M))], two
+     word-level eliminations over the masked row words.  A node whose
+     bound already reaches its search bound returns that bound without
+     expanding; otherwise the larger node lower bound stops the split
+     loop sooner.  Cut nodes are not stored in the table: a revisit
+     recomputes the two ranks, which measured no slower than the
+     extra entries.
 
    Fail-soft invariant of [cc ... bound]: the result is
    [min (exact, bound)] — in particular any result [< bound] is exact.
@@ -171,7 +183,7 @@ type ctx = {
   tbl : Tx.t option;
   key_base : int;  (* key tag pre-shifted above the mask bits *)
   stats0 : Tx.stats option;  (* table counters at ctx creation *)
-  buf : int array;  (* scratch for duplicate collapse, length max_side *)
+  buf : int array;  (* scratch for [canon_masks] and [rank_lower], max_side *)
   cancel : Pool.Token.t option;
   mutable nodes : int;
   mutable visits : int;  (* node entries, table hits included *)
@@ -264,6 +276,25 @@ let canon_masks ctx rmask cmask =
   done;
   (rmask', !cmask')
 
+(* The interior rank cut's bound [ceil_log2 (r1 + r0)] (see the
+   header).  Both eliminations run in [ctx.buf], which [canon_masks]
+   is done with by the time this is called. *)
+let rank_lower ctx rmask cmask =
+  let buf = ctx.buf and ncols = Array.length ctx.cw in
+  let fill flip =
+    let n = ref 0 and rem = ref rmask in
+    while !rem <> 0 do
+      let low = !rem land - !rem in
+      buf.(!n) <- (ctx.rw.(Bv.popcount_int (low - 1)) land cmask) lxor flip;
+      incr n;
+      rem := !rem lxor low
+    done;
+    !n
+  in
+  let r1 = Bm.rank_packed_inplace buf (fill 0) ncols in
+  let r0 = Bm.rank_packed_inplace buf (fill cmask) ncols in
+  ceil_log2 (r1 + r0)
+
 (* [cc ctx ~lb rmask cmask bound] = [min (exact CC of the sub-board,
    bound)].  [lb] is a certified lower bound for this node (1 for
    anything non-monochromatic; the root gets the rank/fooling bound). *)
@@ -287,12 +318,17 @@ let rec cc ctx ~lb rmask cmask bound =
         if c >= 0 then
           if c land 1 = 1 then cached_exact := c lsr 1
           else cached_lb := max !cached_lb (c lsr 1));
+    let node_lb = max lb !cached_lb in
+    let node_lb =
+      if ctx.cfg.prune && !cached_exact < 0 && node_lb < bound then
+        max node_lb (rank_lower ctx rmask cmask)
+      else node_lb
+    in
     if !cached_exact >= 0 then min !cached_exact bound
-    else if !cached_lb >= bound then bound
+    else if node_lb >= bound then bound
     else begin
       ctx.nodes <- ctx.nodes + 1;
       let prune = ctx.cfg.prune in
-      let node_lb = max lb !cached_lb in
       let bound_eff = if prune then bound else no_bound in
       let best =
         ref
@@ -858,6 +894,15 @@ let search ?(config = default_config) ?pool ?table ?(key_tag = 0) ?cancel
   (v, st)
 
 let complexity m = fst (search m)
+
+let bounded m ~bound =
+  if bound < 0 then invalid_arg "Exact_cc.bounded: negative bound";
+  if Bm.rows m = 0 || Bm.cols m = 0 then 0
+  else begin
+    let p = prepare default_config m in
+    cc (mk_ctx default_config p.rwp p.cwp) ~lb:1 p.full_r p.full_c bound
+  end
+
 let complexity_tm tm = complexity (Truth_matrix.to_bitmat tm)
 
 (* Canonical board dimensions without running the search: what the

@@ -40,15 +40,22 @@
       log-rank, and discrepancy ({!Discrepancy}) — so searches whose
       trivial protocol is provably optimal return without expanding a
       node, and telemetry records which bound won each root.
+    - {b Interior rank cut.}  Every other node gets the GF(2) part of
+      the same leaf-count argument: a depth-C protocol for a sub-board
+      [M] has at least [rank M] 1-leaves and [rank (J - M)] 0-leaves,
+      so a node with [ceil_log2 (rank M + rank (J - M))] at or above
+      its search bound returns the bound unexpanded.  Part of
+      [prune]; costs two in-place eliminations per table miss.
     - {b Word-level inner loop.}  Rows and columns of the canonical
       matrix live as packed native ints
       ({!Commx_util.Bitmat.packed_rows}), so monochromaticity,
       duplicate collapse and popcounts are word ops — the loop touches
       no per-bit accessor.
 
-    Every optimization is independently toggleable ({!config}) for
-    ablation benchmarks (bench B7) and for property tests that the
-    toggles are CC-invariant. *)
+    Every optimization but the rank cut, which rides on [prune], is
+    independently toggleable ({!config}) for ablation benchmarks
+    (bench B7) and for property tests that the toggles are
+    CC-invariant. *)
 
 val max_side : int
 (** Hard cap (20) on rows and on columns of the {e canonical} truth
@@ -86,7 +93,9 @@ type config = {
   prune : bool;
       (** seed incumbents with the trivial upper bound, bound child
           searches, cut second children, certify the root lower
-          bound *)
+          bound, and close every interior sub-board whose GF(2)-rank
+          bound [ceil_log2 (rank M + rank (J - M))] already meets its
+          search bound *)
   portfolio : bool;
       (** widen the certified root bound from rank/fooling alone to
           the full lower-bound portfolio ({!lower_bound_portfolio}):
@@ -210,6 +219,17 @@ val search :
 val complexity : Commx_util.Bitmat.t -> int
 (** [search] with {!default_config}, value only.
     @raise Too_large when the canonical matrix exceeds {!max_side}. *)
+
+val bounded : Commx_util.Bitmat.t -> bound:int -> int
+(** [bounded m ~bound] is [min (complexity m, bound)], computed by one
+    sequential {!default_config} search of the canonical board with
+    [bound] as its search bound and [1] as its root lower bound — no
+    root portfolio.  This is the fail-soft contract every interior
+    subproblem of {!search} answers under, exposed so it can be tested
+    directly: a node cut by a certified lower bound must report
+    [bound], never the lower bound itself.
+    @raise Too_large when the canonical matrix exceeds {!max_side}.
+    @raise Invalid_argument when [bound < 0]. *)
 
 val complexity_tm : ('a, 'b) Truth_matrix.t -> int
 

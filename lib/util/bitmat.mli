@@ -60,6 +60,13 @@ val rank_batch : t array -> int array
     sweeps.  Boards wider than {!Bitvec.bits_per_word} columns fall
     back to {!rank} per board.  Does not mutate its inputs. *)
 
+val rank_packed_inplace : int array -> int -> int -> int
+(** [rank_packed_inplace buf rows cols] is the GF(2) rank of the
+    matrix whose row [i] is the word [buf.(i)] (bit [j] = column [j]),
+    for [i < rows] and [j < cols].  Overwrites [buf.(0 .. rows-1)] with
+    a row echelon form and allocates nothing, so a caller can reuse
+    one scratch buffer across many calls. *)
+
 val count_ones : t -> int
 (** Total number of [true] entries. *)
 

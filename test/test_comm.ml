@@ -669,6 +669,26 @@ let test_exact_cc_incumbent_sharing_regression () =
     true
     (st_sh3.Exact_cc.nodes < st_iso.Exact_cc.nodes)
 
+let test_exact_cc_interior_rank_cut () =
+  (* A 10x10 board of GF(2) rank 4 whose root bounds stay one short of
+     the trivial upper bound (4 vs 5).  Without interior lower bounds
+     the sequential search expands ~175k nodes to prove value 5; the
+     interior GF(2)-rank cut closes nearly every child and leaves a
+     few hundred (626 when measured). *)
+  let rows =
+    [| "0101010111"; "0100011100"; "0000101100"; "0100110000";
+       "0001001011"; "0011111010"; "0111100110"; "0101010111";
+       "0000000000"; "0001100111" |]
+  in
+  let m = Bm.init 10 10 (fun i j -> rows.(i).[j] = '1') in
+  let v, st = Exact_cc.search m in
+  Alcotest.(check int) "value" 5 v;
+  Alcotest.(check bool)
+    (Printf.sprintf "rank cut keeps the search small (%d nodes)"
+       st.Exact_cc.nodes)
+    true
+    (st.Exact_cc.nodes > 0 && st.Exact_cc.nodes < 1_000)
+
 let test_exact_cc_warm_table_deadline () =
   (* The cooperative cancel poll counts subproblem VISITS, table hits
      included — so a search that mostly replays a warm table still
@@ -679,9 +699,13 @@ let test_exact_cc_warm_table_deadline () =
      the race and the value returns normally with zero expansions;
      (2) against a cold table the same pre-fired token stops the
      search within one poll interval, the partial entries persist in
-     the caller-owned table, and a repeat attempt resumes deeper. *)
-  let g = Prng.create 9003 in
-  let m = Bm.init 9 9 (fun _ _ -> Prng.float g < 0.18) in
+     the caller-owned table, and a repeat attempt resumes deeper.
+     Both attempts need more than one 1024-visit interval of work, so
+     the board is a 12x12 GF(2) rank-5 product (canonical 11x10): its
+     full search visits ~14k subproblems and expands 636 nodes in
+     ~10 ms on a 2-CPU x86-64 container. *)
+  let g = Prng.create 31 in
+  let m = Bm.mul (Bm.random g 12 5) (Bm.random g 5 12) in
   let expired () =
     Commx_util.Pool.Token.create ~deadline:(Commx_util.Clock.now_s () -. 1.0) ()
   in
@@ -897,6 +921,8 @@ let () =
             test_exact_cc_cap_post_canonicalization;
           Alcotest.test_case "incumbent sharing prunes better" `Quick
             test_exact_cc_incumbent_sharing_regression;
+          Alcotest.test_case "interior rank cut" `Quick
+            test_exact_cc_interior_rank_cut;
           Alcotest.test_case "warm-table deadline observed" `Quick
             test_exact_cc_warm_table_deadline;
           qtest "optimized = reference engine" ~count:120 arb_ref_bitmat

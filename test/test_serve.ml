@@ -34,18 +34,28 @@ let board_json =
               (String.init 8 (fun j -> if r land (1 lsl j) <> 0 then '1' else '0')))
           board_rows))
 
-(* A slow board: 10x10 of GF(2) rank 4 whose certified bounds do NOT
-   close the search — the full exact search expands ~175k nodes
-   (seconds of wall time), so a request deadline of tens of
-   milliseconds reliably interrupts it mid-search.  Found by scanning
-   random low-rank products. *)
+(* A slow board: a 20x20 GF(2) rank-6 product (canonical 19x17) whose
+   certified bounds do NOT close the search (root 5 vs trivial upper
+   bound 6), and whose subproblems mostly stay above the interior rank
+   cut.  Its sequential search expanded 239k nodes in 120 s without
+   finishing on a 2-CPU x86-64 container, so a request deadline of tens
+   to hundreds of milliseconds reliably interrupts it mid-search; the
+   root portfolio takes ~40 ms.  Found by scanning random low-rank
+   products. *)
 let slow_board_json =
   Json.List
     (List.map
        (fun s -> Json.String s)
-       [ "0101010111"; "0100011100"; "0000101100"; "0100110000";
-         "0001001011"; "0011111010"; "0111100110"; "0101010111";
-         "0000000000"; "0001100111" ])
+       [ "10111011110100111111"; "01011000011101111110";
+         "11100011101001000001"; "01111110010011001101";
+         "10110110010100110100"; "11000101100111110010";
+         "10101101000000111001"; "00111010011010011011";
+         "00100001001110010110"; "10011101111010001100";
+         "00011011010100001101"; "01011111011101011011";
+         "01001001101001011101"; "11100100101001100100";
+         "11011001110011011010"; "00001101100000001011";
+         "10110110010100110100"; "00111101011010111110";
+         "01111001010011101000"; "10100111100000010111" ])
 
 let obj_field reply key =
   match Json.member key reply with
