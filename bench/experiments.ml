@@ -1172,20 +1172,18 @@ let e14 ctx =
   let sing_inputs = List.init 4 (fun v -> (v lsr 1, v land 1)) in
   let tern = List.concat_map (fun a -> List.init 3 (fun c -> (a, c))) [ 0; 1; 2 ] in
   (* [measure] is let-polymorphic over the truth-matrix input types, so
-     instances with differently-typed inputs coexist as thunks.  The
-     searches themselves are the parallel stage, and each instance runs
-     under BOTH pooled drivers: the deterministic strided driver is the
-     primary (fixed groups, barrier-shared incumbents — values and
-     counters bit-identical at any --jobs, which CI asserts on this
-     artifact), and the work-stealing driver re-derives the value as a
-     cross-check (its value is schedule-invariant; its node counts are
-     not, so they stay out of the rows and feed the separate
-     [exact_cc.steal_nodes] counter).  Instances small enough to be
-     answered by canonicalization plus the certified root bounds never
-     enter the pool at all — which after the lower-bound portfolio
-     (rank/fooling + rational log-rank + discrepancy) now includes
-     every 17x17-20x20 instance below whose canonical board the
-     portfolio meets the trivial protocol. *)
+     instances with differently-typed inputs coexist as thunks.  Each
+     instance is searched twice: a sequential search is the primary
+     (values and counters jobs-invariant by construction, which CI
+     asserts on this artifact), and the pooled work-stealing driver
+     re-derives the value as a cross-check (its value is
+     schedule-invariant; its node counts are not, so they stay out of
+     the rows and feed the separate [exact_cc.steal_nodes] counter).
+     Instances small enough to be answered by canonicalization plus the
+     certified root bounds never enter the pool at all — which after
+     the lower-bound portfolio (rank/fooling + rational log-rank +
+     discrepancy) includes every 17x17-20x20 instance below whose
+     canonical board the portfolio meets the trivial protocol. *)
   let measure name tm trivial () =
     let m = Tm.to_bitmat tm in
     (* the exact max-rectangle enumeration is 2^min-dim: exact up to
@@ -1198,12 +1196,12 @@ let e14 ctx =
       if cells <= 60 then Some (Cover.min_one_cover m, Cover.min_zero_cover m)
       else None
     in
-    let cc, st = Exact_cc.search ~pool:ctx.pool ~deterministic:true m in
+    let cc, st = Exact_cc.search m in
     let steal_cc, _ = Exact_cc.search ~pool:ctx.pool m in
     if steal_cc <> cc then
       failwith
         (Printf.sprintf
-           "E14 %s: stealing driver disagrees with deterministic (%d vs %d)"
+           "E14 %s: stealing driver disagrees with sequential (%d vs %d)"
            name steal_cc cc);
     let portfolio = Exact_cc.lower_bound_portfolio m in
     let one_way = Commx_comm.Discrepancy.one_way_complexity m in
@@ -1235,7 +1233,7 @@ let e14 ctx =
   let sparse10_searching =
     (* sparse random 10x10 where even the full portfolio stalls at 4 <
        5: the instance that still needs a genuine game-tree search, and
-       therefore the one that exercises both pooled drivers. *)
+       therefore the one that exercises the pooled driver. *)
     let g = Prng.create 105015 in
     of_bitmat 10 (Commx_util.Bitmat.init 10 10 (fun _ _ -> Prng.float g < 0.15))
   in
@@ -1284,8 +1282,9 @@ let e14 ctx =
               b mod max 1 a = 0 || (a = 0 && b = 0)))
          3 |]
   in
-  (* Instances run sequentially; the expensive ones parallelize inside
-     the search (root splits), so nested pool batches never occur. *)
+  (* Instances run sequentially; the pooled cross-check parallelizes
+     inside the search (root splits), so nested pool batches never
+     occur. *)
   let measured = enum (fun () -> Array.map (fun f -> f ()) instances) in
   let rows = ref [] in
   Array.iter

@@ -188,9 +188,8 @@ let b7_exact_cc () =
   let module E = Commx_comm.Exact_cc in
   let g = Prng.create 9003 in
   let m = Bm.init 9 9 (fun _ _ -> Prng.float g < 0.18) in
-  let cfg ~table ~canonicalize ~prune ?(portfolio = true)
-      ?(share_incumbent = true) ?table_budget () =
-    { E.table; canonicalize; prune; portfolio; share_incumbent; table_budget }
+  let cfg ~table ~canonicalize ~prune ?(portfolio = true) ?table_budget () =
+    { E.table; canonicalize; prune; portfolio; table_budget }
   in
   let variants =
     [ ("full", E.default_config, 5);
@@ -251,21 +250,16 @@ let b7_exact_cc () =
   | _ -> failwith "B7: ablation configs disagree on the exact CC value");
   rows
 
-(* B7-pool: the parallel layer's PR 10 changes ablated against the
-   PR 4 engine they replace.  The board is a 12x12 GF(2) rank-5
-   product (inner products of random 5-bit vectors) whose canonical
-   9x10 form has 766 root moves — enough to spread over every strided
-   group / worker deque — and whose exact CC equals its trivial upper
-   bound, so the search is pure exhaustion: no lucky witness ends a
-   run early and wall-clock is stable enough to gate.  The grid
-   crosses the driver (strided vs work-stealing) with the lower-bound
-   portfolio; "strided-baseline" additionally isolates group
-   incumbents ([share_incumbent = false]), which reproduces the PR 4
-   parallel engine node-for-node.  Strided node counts are
-   jobs-invariant and emitted as [nodes]; stealing counts depend on
-   scheduling, so those rows emit [steal_nodes] and the perf gate
-   checks only the relational claim — steal-portfolio must beat the
-   strided baseline on wall-clock. *)
+(* B7-pool: the pooled work-stealing driver against the sequential
+   search it fans out.  The board is a 12x12 GF(2) rank-5 product
+   (inner products of random 5-bit vectors) whose canonical 9x10 form
+   has 766 root moves — enough to spread over every worker deque — and
+   whose exact CC equals its trivial upper bound, so the search is
+   pure exhaustion: no lucky witness ends a run early.  The stealing
+   rows cross the driver with the lower-bound portfolio.  The
+   sequential row's node count is jobs-invariant and emitted as
+   [nodes], which the perf gate compares; stealing counts depend on
+   scheduling, so those rows emit [steal_nodes], which it does not. *)
 let b7_pool_ablation () =
   let module E = Commx_comm.Exact_cc in
   let module Pool = Commx_util.Pool in
@@ -281,15 +275,11 @@ let b7_pool_ablation () =
         in
         parity (a.(i) land b.(j)) 0 = 1)
   in
-  let cfg ~share_incumbent ~portfolio =
-    { E.default_config with share_incumbent; portfolio }
-  in
   let variants =
-    [ ( "pool-strided-baseline", true,
-        cfg ~share_incumbent:false ~portfolio:false );
-      ("pool-strided-portfolio", true, cfg ~share_incumbent:true ~portfolio:true);
-      ("pool-steal-no-portfolio", false, cfg ~share_incumbent:true ~portfolio:false);
-      ("pool-steal-portfolio", false, cfg ~share_incumbent:true ~portfolio:true) ]
+    [ ("sequential-portfolio", false, E.default_config);
+      ( "pool-steal-no-portfolio", true,
+        { E.default_config with portfolio = false } );
+      ("pool-steal-portfolio", true, E.default_config) ]
   in
   Printf.printf
     "\n== B7 pooled exact-CC drivers (12x12 rank-5 product, jobs=%d) ==\n" jobs;
@@ -301,11 +291,12 @@ let b7_pool_ablation () =
   let rows =
     Pool.with_pool ~jobs (fun pool ->
         List.map
-          (fun (name, deterministic, config) ->
+          (fun (name, pooled, config) ->
             let t0 = Commx_util.Clock.now_s () in
-            let v, st = E.search ~config ~pool ~deterministic m in
+            let pool = if pooled then Some pool else None in
+            let v, st = E.search ~config ?pool m in
             let dt = Commx_util.Clock.now_s () -. t0 in
-            let nodes_key = if deterministic then "nodes" else "steal_nodes" in
+            let nodes_key = if pooled then "steal_nodes" else "nodes" in
             Commx_util.Tab.add_row tab
               [ name;
                 Commx_util.Tab.fmt_float ~digits:4 dt;
@@ -315,7 +306,8 @@ let b7_pool_ablation () =
               [ ("group", Json.String "B7");
                 ("bench", Json.String ("exact-cc/" ^ name));
                 ("wall_s", Json.Float dt); ("value", Json.Int v);
-                (nodes_key, Json.Int st.E.nodes); ("jobs", Json.Int jobs) ])
+                (nodes_key, Json.Int st.E.nodes);
+                ("jobs", Json.Int (if pooled then jobs else 1)) ])
           variants)
   in
   Commx_util.Tab.print tab;
@@ -327,7 +319,7 @@ let b7_pool_ablation () =
   in
   (match values with
   | v :: rest when List.for_all (( = ) v) rest -> ()
-  | _ -> failwith "B7-pool: pooled drivers disagree on the exact CC value");
+  | _ -> failwith "B7-pool: drivers disagree on the exact CC value");
   rows
 
 (* B8: the observability plane's promise is "cheap when off" — every

@@ -91,17 +91,16 @@ type config = {
   canonicalize : bool;
   prune : bool;
   portfolio : bool;
-  share_incumbent : bool;
   table_budget : int option;
 }
 
 let default_config =
   { table = true; canonicalize = true; prune = true; portfolio = true;
-    share_incumbent = true; table_budget = None }
+    table_budget = None }
 
 let reference_config =
   { table = false; canonicalize = false; prune = false; portfolio = false;
-    share_incumbent = false; table_budget = None }
+    table_budget = None }
 
 type stats = {
   nodes : int;
@@ -123,8 +122,8 @@ let c_root_pruned = Tel.counter "exact_cc.root_pruned"
 
 (* Node expansions of work-stealing searches are schedule-dependent,
    so they accumulate into their own counter: [exact_cc.nodes] stays
-   strictly jobs-invariant (sequential + deterministic-mode searches
-   only) and remains the one the perf gate compares. *)
+   strictly jobs-invariant (sequential searches only) and remains the
+   one the perf gate compares. *)
 let c_steal_nodes = Tel.counter "exact_cc.steal_nodes"
 
 (* Which root lower bound won (ties resolved in evaluation order). *)
@@ -527,21 +526,13 @@ let leaf_stats ~cnr ~cnc ~root_lower ~root_upper =
     root_upper;
   }
 
-(* Number of strided groups the root move list is cut into in
-   deterministic mode.  Fixed — never derived from the pool's job
-   count — so group contents, per-group incumbents, values and
-   counters are identical at any [--jobs]. *)
-let root_groups = 16
-
-(* Fan out only when the root move list dwarfs the grouping overhead
-   (each group pays for its own transposition table): 512 moves means
+(* Fan out only when the root move list dwarfs the fan-out overhead
+   (each worker pays for its own transposition table): 512 moves means
    a canonical board of at least ten rows or columns. *)
 let parallel_move_threshold = 512
 
 (* A root move packs one child of a root split: bit 0 selects the side
-   (0 = row split, 1 = column split), the chosen submask sits above.
-   The enumeration order is the classic one ([run_parallel]'s old
-   [consider] order), so strided group contents are unchanged. *)
+   (0 = row split, 1 = column split), the chosen submask sits above. *)
 let enumerate_root_moves p =
   let n = (1 lsl (p.cnr - 1)) + (1 lsl (p.cnc - 1)) - 2 in
   let moves = Array.make n 0 in
@@ -572,94 +563,7 @@ let split_of_move p mv =
   if mv land 1 = 0 then (sub, p.full_c, p.full_r lxor sub, p.full_c)
   else (p.full_r, sub, p.full_r, p.full_c lxor sub)
 
-let merge_results ~lb ~ub ~seed p results =
-  Array.fold_left
-    (fun (v, (acc : stats)) (b, (s : stats)) ->
-      ( min v b,
-        {
-          acc with
-          nodes = acc.nodes + s.nodes;
-          table_hits = acc.table_hits + s.table_hits;
-          table_misses = acc.table_misses + s.table_misses;
-          table_evictions = acc.table_evictions + s.table_evictions;
-        } ))
-    (seed, leaf_stats ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb ~root_upper:ub)
-    results
-
-(* {3 Deterministic mode: strided groups + barrier-shared incumbent}
-
-   The move list is cut into [root_groups] strided groups exactly as
-   before, but the groups now exchange incumbents at fixed
-   synchronization barriers: each round, every group advances at most
-   [strided_block] of its moves under [min (its own best, the global
-   best merged at the last barrier)].  One group's improvement bounds
-   every other group's window from the next round on — the fix for the
-   old isolated-incumbent behavior where [--jobs N] explored strictly
-   more nodes than [--jobs 1] on prune-heavy boards — while the work a
-   group does remains a pure function of the move list and the merged
-   incumbents, never of scheduling: values AND node counters stay
-   bit-identical at any job count.
-
-   [config.share_incumbent = false] suppresses the barrier exchange,
-   reproducing the PR 4 behavior (isolated incumbents) node-for-node —
-   kept as the B7 ablation baseline and for the regression test that
-   pins how much sharing saves. *)
-let strided_block = 16
-
-let run_strided cfg pool ?cancel p ~lb ~ub =
-  let moves = enumerate_root_moves p in
-  let nm = Array.length moves in
-  let seed = if cfg.prune then ub else no_bound in
-  let ctxs =
-    Array.init root_groups (fun _ -> mk_ctx ?cancel cfg p.rwp p.cwp)
-  in
-  let bests = Array.make root_groups seed in
-  let cursors = Array.init root_groups Fun.id in
-  let groups = Array.init root_groups Fun.id in
-  let global = ref seed in
-  let live = ref true in
-  while !live do
-    let g0 = if cfg.share_incumbent then !global else seed in
-    ignore
-      (Pool.parallel_map pool ?cancel
-         (fun g ->
-           let ctx = ctxs.(g) in
-           let best = ref (min bests.(g) g0) in
-           let cur = ref cursors.(g) in
-           let steps = ref 0 in
-           while
-             !steps < strided_block && !cur < nm
-             && ((not cfg.prune) || !best > lb)
-           do
-             let r0, c0, r1, c1 = split_of_move p moves.(!cur) in
-             eval_split ctx best r0 c0 r1 c1;
-             cur := !cur + root_groups;
-             incr steps
-           done;
-           bests.(g) <- !best;
-           cursors.(g) <- !cur;
-           ())
-         groups);
-    global := Array.fold_left min !global bests;
-    live :=
-      (if cfg.share_incumbent then
-         Array.exists (fun c -> c < nm) cursors
-         && ((not cfg.prune) || !global > lb)
-       else
-         (* isolated incumbents: a group only retires when its own
-            moves run out or its own best hits the floor *)
-         Array.exists2
-           (fun c b -> c < nm && ((not cfg.prune) || b > lb))
-           cursors bests)
-  done;
-  merge_results ~lb ~ub ~seed:!global p
-    (Array.map
-       (fun ctx ->
-         ( seed,
-           stats_of ctx ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb ~root_upper:ub ))
-       ctxs)
-
-(* {3 Stealing mode: per-domain deques + a shared atomic incumbent}
+(* {3 Pooled driver: per-domain deques + a shared atomic incumbent}
 
    One deque of root moves per pool worker (seeded stride-wise so every
    deque starts with a spread of the list); the owner pops blocks from
@@ -669,16 +573,14 @@ let run_strided cfg pool ?cancel p ~lb ~ub =
    window on its very next move.  Each worker carries its own
    transposition-table segment for the whole search — the serve
    daemon's per-worker segment design — so subtree results warm across
-   every root move the domain executes (own or stolen) instead of
-   dying with a per-group table.
+   every root move the domain executes, own or stolen.
 
    Returned values are schedule-invariant: a move is only recorded
    when its cost was proved strictly below the bound its children were
    searched under (fail-soft), and bounds only ever tighten, so the
    final incumbent is [min ub (true minimum)] regardless of
-   interleaving.  Node counts DO depend on timing — stealing-mode
-   statistics feed [exact_cc.steal_nodes], not the jobs-invariant
-   counters. *)
+   interleaving.  Node counts DO depend on timing — pooled statistics
+   feed [exact_cc.steal_nodes], not the jobs-invariant counters. *)
 let steal_block = 32
 
 type deque = {
@@ -740,15 +642,14 @@ let run_steal cfg pool ?cancel p ~lb ~ub =
   let moves = enumerate_root_moves p in
   let nm = Array.length moves in
   let nw = Pool.jobs pool in
-  let seed = if cfg.prune then ub else no_bound in
-  let shared = Atomic.make seed in
+  let shared = Atomic.make (if cfg.prune then ub else no_bound) in
   let deques =
     Array.init nw (fun w ->
         let cnt = (nm - w + nw - 1) / nw in
         let arr = Array.init cnt (fun i -> moves.(w + (i * nw))) in
         { dm = Mutex.create (); dq = arr; lo = 0; hi = cnt })
   in
-  let results =
+  let per_worker =
     Pool.parallel_map pool ?cancel ~chunk:1
       (fun w ->
         let ctx = mk_ctx ?cancel cfg p.rwp p.cwp in
@@ -779,11 +680,21 @@ let run_steal cfg pool ?cancel p ~lb ~ub =
                 eval_move_shared ctx shared ~prune:cfg.prune p buf.(i)
             done
         done;
-        ( seed,
-          stats_of ctx ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb ~root_upper:ub ))
+        stats_of ctx ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb ~root_upper:ub)
       (Array.init nw Fun.id)
   in
-  merge_results ~lb ~ub ~seed:(Atomic.get shared) p results
+  ( Atomic.get shared,
+    Array.fold_left
+      (fun (acc : stats) (s : stats) ->
+        {
+          acc with
+          nodes = acc.nodes + s.nodes;
+          table_hits = acc.table_hits + s.table_hits;
+          table_misses = acc.table_misses + s.table_misses;
+          table_evictions = acc.table_evictions + s.table_evictions;
+        })
+      (leaf_stats ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb ~root_upper:ub)
+      per_worker )
 
 let publish ?(stolen = false) (st : stats) =
   Tel.incr c_searches;
@@ -795,7 +706,7 @@ let publish ?(stolen = false) (st : stats) =
     Tel.add c_evictions st.table_evictions
   end
 
-let run cfg pool ext cancel ~deterministic m =
+let run cfg pool ext cancel m =
   if Bm.rows m = 0 || Bm.cols m = 0 then
     ( 0,
       leaf_stats ~cnr:(Bm.rows m) ~cnc:(Bm.cols m) ~root_lower:0 ~root_upper:0,
@@ -823,11 +734,10 @@ let run cfg pool ext cancel ~deterministic m =
            (Txtable is not thread-safe), so its presence forces the
            sequential path regardless of the pool. *)
         | Some pool when n_moves >= parallel_move_threshold && ext = None -> (
-            let driver = if deterministic then run_strided else run_steal in
-            match driver cfg pool ?cancel p ~lb ~ub with
-            | v, st -> (v, st, not deterministic)
+            match run_steal cfg pool ?cancel p ~lb ~ub with
+            | v, st -> (v, st, true)
             | exception Pool.Cancelled ->
-                (* Group-local node counts die with their domains; the
+                (* Worker-local node counts die with their domains; the
                    certified root bounds survive. *)
                 raise (Timed_out { lower = lb; upper = ub; nodes = 0 }))
         | _ -> (
@@ -882,14 +792,13 @@ let run cfg pool ext cancel ~deterministic m =
     end
   end
 
-let search ?(config = default_config) ?pool ?table ?(key_tag = 0) ?cancel
-    ?(deterministic = false) m =
+let search ?(config = default_config) ?pool ?table ?(key_tag = 0) ?cancel m =
   if key_tag < 0 || key_tag > max_key_tag then
     invalid_arg
       (Printf.sprintf "Exact_cc.search: key_tag %d out of [0, %d]" key_tag
          max_key_tag);
   let ext = Option.map (fun t -> (t, key_tag)) table in
-  let v, st, stolen = run config pool ext cancel ~deterministic m in
+  let v, st, stolen = run config pool ext cancel m in
   publish ~stolen st;
   (v, st)
 

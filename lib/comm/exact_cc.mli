@@ -81,9 +81,10 @@ exception
         bound at that moment — the rank/fooling root bound, improved by
         a fail-soft lower-bound root entry if the (warm) transposition
         table holds one — [upper] the trivial upper bound, [nodes] the
-        expansions spent.  The partial work is not wasted: entries
-        learned before the deadline stay in a caller-owned [?table], so
-        a repeat attempt resumes deeper.  A printer is registered. *)
+        expansions spent (0 for a pooled search: its worker-local counts
+        are lost).  The partial work is not wasted: entries learned
+        before the deadline stay in a caller-owned [?table], so a repeat
+        attempt resumes deeper.  A printer is registered. *)
 
 type config = {
   table : bool;  (** memoize subproblems in the transposition table *)
@@ -102,13 +103,6 @@ type config = {
           rational log-rank and discrepancy too, evaluated
           cheapest-first with early exit once the trivial upper bound
           is matched.  Only meaningful with [prune]. *)
-  share_incumbent : bool;
-      (** deterministic pooled mode only: exchange group incumbents at
-          the round barriers, so one group's improvement bounds every
-          other group's remaining moves.  [false] reproduces the PR 4
-          isolated-incumbent behavior node-for-node — the B7 ablation
-          baseline.  Stealing mode always shares (that is its point);
-          sequential searches have a single incumbent either way. *)
   table_budget : int option;
       (** max transposition-table entries (power-of-two rounded);
           [None] = grow unbounded *)
@@ -146,7 +140,6 @@ val search :
   ?table:Commx_util.Txtable.t ->
   ?key_tag:int ->
   ?cancel:Commx_util.Pool.Token.t ->
-  ?deterministic:bool ->
   Commx_util.Bitmat.t ->
   int * stats
 (** [search m] is the exact deterministic CC of [m] (in bits, standard
@@ -154,35 +147,20 @@ val search :
     together with search statistics.
 
     With [?pool], large searches fan their root moves out over the
-    pool in one of two modes:
-
-    - {b Stealing} (default, [?deterministic:false]): one deque of
-      root moves per pool worker, idle workers steal blocks from busy
-      ones, and all workers share an {e atomic incumbent} — an
-      improvement found anywhere tightens every other worker's pruning
-      window on its next move.  Each worker keeps one
-      transposition-table segment alive for the whole search, so
-      subtree results warm across all the root moves that worker
-      executes, own or stolen.  The returned {e value} is
-      schedule-invariant (bit-identical at any [--jobs], asserted in
-      CI); node and table {e statistics} depend on timing, so they
-      feed the separate [exact_cc.steal_nodes] telemetry counter and
-      leave the jobs-invariant [exact_cc.nodes]/hit/miss counters
-      untouched.
-
-    - {b Deterministic} ([?deterministic:true]): the root moves split
-      into a {e fixed} number of strided groups, each with its own
-      table segment and incumbent, which exchange incumbents only at
-      fixed synchronization barriers — so one group's improvement
-      still bounds the others (the PR 10 fix for pooled search pruning
-      less than sequential), but the work each group performs is a
-      pure function of the move list, never of scheduling: the value
-      {e and} the node counters are bit-identical at any pool job
-      count.  This is the mode the perf gate and the E14 primary
-      columns run.
-
-    Statistics differ between pooled and unpooled searches (segments
-    cannot share entries with the sequential table).
+    pool: one deque of root moves per pool worker, idle workers steal
+    blocks from busy ones, and all workers share an {e atomic
+    incumbent} — an improvement found anywhere tightens every other
+    worker's pruning window on its next move.  Each worker keeps one
+    transposition-table segment alive for the whole search, so subtree
+    results warm across all the root moves that worker executes, own
+    or stolen.  The returned {e value} is schedule-invariant
+    (bit-identical at any [--jobs], asserted in CI); node and table
+    {e statistics} depend on timing, so they feed the separate
+    [exact_cc.steal_nodes] telemetry counter and leave the
+    jobs-invariant [exact_cc.nodes]/hit/miss counters untouched.  A
+    search without [?pool] is sequential, and its statistics are
+    jobs-invariant by construction: this is the path the perf gate and
+    the E14 primary columns run.
 
     With [?table], memoization goes through the {e caller-owned}
     table instead of a fresh private one (overriding [config.table]),
@@ -205,7 +183,7 @@ val search :
     sub-millisecond granularity on dense boards.  If the warm table
     already holds an {e exact} root entry, the answer won the race and
     is returned normally.  Cancellation of a pooled search loses
-    per-group node counts ([nodes = 0] in the exception) but keeps the
+    per-worker node counts ([nodes = 0] in the exception) but keeps the
     certified bounds.
 
     Search statistics are also accumulated into the [exact_cc.*]
@@ -256,10 +234,10 @@ val canonical_dims : Commx_util.Bitmat.t -> int * int
 val canonical_key : Commx_util.Bitmat.t -> string
 (** Content address of the canonical board: {!Commx_util.Bitmat.key}
     (dimensions plus fixed-width hex row words) of the matrix {e after}
-    duplicate collapse and complement normalization.  Two inputs share a key exactly when the engine
-    would search the same canonical matrix, so structurally-equal
-    queries alias — the serve daemon keys its result cache and its
-    per-matrix table tags on this.  Never raises, even above
+    duplicate collapse and complement normalization.  Two inputs share
+    a key exactly when the engine would search the same canonical
+    matrix, so structurally-equal queries alias — the serve daemon
+    keys its result cache and its per-matrix table tags on this.  Never raises, even above
     {!max_side}. *)
 
 val optimal_is_sandwiched : Commx_util.Bitmat.t -> bool

@@ -1056,22 +1056,23 @@ let handle_line t conn line =
            failing deep in the search.  [E.canonical_dims] is one
            duplicate-collapse pass, cheap enough for the accept
            path. *)
-        | Wire.Exact_cc { matrix; _ }
-          when (let r, c = E.canonical_dims matrix in
-                r > E.max_side || c > E.max_side) ->
+        | Wire.Exact_cc { matrix; _ } ->
             let cr, cc = E.canonical_dims matrix in
-            Atomic.incr t.errors;
-            Telemetry.incr c_too_large;
-            inline ~op:env.op ~outcome:"error"
-              (Wire.error ~code:"too_large" ~id:env.id
-                 ~fields:
-                   [ ("canon_rows", Json.Int cr);
-                     ("canon_cols", Json.Int cc);
-                     ("limit", Json.Int E.max_side) ]
-                 (Printf.sprintf
-                    "matrix too large for exact_cc: canonical %dx%d exceeds \
-                     %dx%d"
-                    cr cc E.max_side E.max_side))
+            if cr > E.max_side || cc > E.max_side then begin
+              Atomic.incr t.errors;
+              Telemetry.incr c_too_large;
+              inline ~op:env.op ~outcome:"error"
+                (Wire.error ~code:"too_large" ~id:env.id
+                   ~fields:
+                     [ ("canon_rows", Json.Int cr);
+                       ("canon_cols", Json.Int cc);
+                       ("limit", Json.Int E.max_side) ]
+                   (Printf.sprintf
+                      "matrix too large for exact_cc: canonical %dx%d \
+                       exceeds %dx%d"
+                      cr cc E.max_side E.max_side))
+            end
+            else dispatch t conn env t0 t0_ns
         | _ -> dispatch t conn env t0 t0_ns)
   end
 

@@ -15,9 +15,6 @@ fails on:
     even a +1 increase is a real search regression, not timer jitter.
     Stealing-driver counters (``exact_cc.steal_*``, per-row
     ``steal_nodes``) are schedule-dependent and never gated;
-  * the B7 pooled-driver ablation inverting: within the PR's ``micro``
-    artifact, the ``exact-cc/pool-steal-portfolio`` row must beat
-    ``exact-cc/pool-strided-baseline`` on wall-clock;
   * throughput collapse in the load-replay artifact (``load``): its
     ``fits.qps`` dropping more than --qps-tolerance (default 30%)
     below the baseline.  Wall clock is NOT compared for ``load`` —
@@ -221,32 +218,6 @@ def main():
                       f"{prw[name]} FAIL")
                 failures.append(
                     f"{exp}/{name}: nodes grew {br[name]} -> {prw[name]}")
-
-        # B7 pooled-driver ablation: a relational claim within the PR
-        # artifact alone, so it holds even on a workload change.  The
-        # work-stealing driver with the lower-bound portfolio must beat
-        # the PR 4 strided baseline (isolated incumbents, no portfolio)
-        # on the same board at the same job count — the reason the
-        # stealing driver is the default.  The board is exhaustion-type
-        # (exact = trivial upper bound, no lucky early witness), so the
-        # walls are stable enough for a strict comparison.
-        if exp == "micro":
-            prows = {r.get("bench"): r for r in p.get("rows") or []
-                     if isinstance(r, dict)}
-            sb = prows.get("exact-cc/pool-strided-baseline", {}).get("wall_s")
-            sp = prows.get("exact-cc/pool-steal-portfolio", {}).get("wall_s")
-            if not (isinstance(sb, (int, float))
-                    and isinstance(sp, (int, float))):
-                print(f"[{exp}] B7 pooled ablation rows absent — "
-                      "relational check skipped")
-            else:
-                verdict = "FAIL" if sp >= sb else "ok"
-                print(f"[{exp}] B7 steal-portfolio {sp:.3f}s vs "
-                      f"strided-baseline {sb:.3f}s {verdict}")
-                if verdict == "FAIL":
-                    failures.append(
-                        f"{exp}: steal-portfolio wall {sp:.3f}s does not "
-                        f"beat the strided baseline {sb:.3f}s")
 
     if failures:
         print("\nperf gate FAILED:", file=sys.stderr)

@@ -635,40 +635,6 @@ let test_exact_cc_cap_post_canonicalization () =
   Alcotest.(check int) "canonical rows" 4 st.Exact_cc.canon_rows;
   Alcotest.(check int) "canonical cols" 4 st.Exact_cc.canon_cols
 
-let test_exact_cc_incumbent_sharing_regression () =
-  (* PR 4's pooled driver gave each strided group a PRIVATE incumbent,
-     so a cheap protocol found by one group never tightened the
-     others' pruning windows and --jobs N explored strictly more nodes
-     than --jobs 1 on prune-heavy boards.  The fix exchanges
-     incumbents at the round barriers; [share_incumbent = false] keeps
-     the old behavior as an ablation.  This sparse 12x12 board (witness
-     type: the exact value equals the certified lower bound, so search
-     ends on the first cheap protocol found) has a provable gap between
-     the two.  Node counts in deterministic mode are a pure function of
-     the move list, so the jobs-invariance checks are exact. *)
-  let g = Prng.create 700648 in
-  let m = Bm.init 12 12 (fun _ _ -> Prng.float g < 0.18) in
-  let v_seq, st_seq = Exact_cc.search m in
-  let run ~share_incumbent jobs =
-    let config = { Exact_cc.default_config with share_incumbent } in
-    Commx_util.Pool.with_pool ~jobs (fun pool ->
-        Exact_cc.search ~config ~pool ~deterministic:true m)
-  in
-  let v_sh1, st_sh1 = run ~share_incumbent:true 1 in
-  let v_sh3, st_sh3 = run ~share_incumbent:true 3 in
-  let v_iso, st_iso = run ~share_incumbent:false 3 in
-  Alcotest.(check int) "shared value = sequential" v_seq v_sh1;
-  Alcotest.(check int) "shared value jobs-invariant" v_sh1 v_sh3;
-  Alcotest.(check int) "isolated value agrees too" v_sh1 v_iso;
-  Alcotest.(check int) "shared nodes jobs-invariant" st_sh1.Exact_cc.nodes
-    st_sh3.Exact_cc.nodes;
-  Alcotest.(check bool) "sequential searched" true (st_seq.Exact_cc.nodes > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "sharing prunes strictly better (%d < %d)"
-       st_sh3.Exact_cc.nodes st_iso.Exact_cc.nodes)
-    true
-    (st_sh3.Exact_cc.nodes < st_iso.Exact_cc.nodes)
-
 let test_exact_cc_interior_rank_cut () =
   (* A 10x10 board of GF(2) rank 4 whose root bounds stay one short of
      the trivial upper bound (4 vs 5).  Without interior lower bounds
@@ -783,7 +749,6 @@ let prop_exact_cc_toggle_invariance params =
       [ { default_config with canonicalize = false };
         { default_config with prune = false };
         { default_config with portfolio = false };
-        { default_config with share_incumbent = false };
         { default_config with table_budget = Some 64 } ]
 
 let prop_exact_cc_monotone_submatrix params =
@@ -919,8 +884,6 @@ let () =
             test_exact_cc_too_large;
           Alcotest.test_case "cap checked post-canonicalization" `Quick
             test_exact_cc_cap_post_canonicalization;
-          Alcotest.test_case "incumbent sharing prunes better" `Quick
-            test_exact_cc_incumbent_sharing_regression;
           Alcotest.test_case "interior rank cut" `Quick
             test_exact_cc_interior_rank_cut;
           Alcotest.test_case "warm-table deadline observed" `Quick
