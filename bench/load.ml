@@ -54,8 +54,8 @@ type config = {
 (* Pinned payload shapes.  Exact CC boards follow the chaos soak's
    sizing (random 6x6: fast to solve, slow enough to really search);
    rank/singularity boards are 8x8 so the exact rectangle-cover bound
-   stays affordable (64 cells) and Bareiss determinants are real
-   bignum work. *)
+   stays affordable (64 cells) and each determinant needs a CRT over
+   several word primes. *)
 let exact_cc_side = 6
 let singular_side = 8
 let singular_bits = 8
@@ -282,10 +282,10 @@ let speedup_rows ~seed =
   let scalar_s, scalar_ranks = time_best (fun () -> Array.map Bm.rank boards) in
   let batch_s, batch_ranks = time_best (fun () -> Bm.rank_batch boards) in
   let rank_agree = scalar_ranks = batch_ranks in
-  (* Lemma 3.2 singularity: smaller batch, each verdict is bignum work
-     on the scalar side.  Mix in rank-deficient boards so the batch
-     kernel's exact-escalation path is timed too, not just the mod-p
-     filter. *)
+  (* Lemma 3.2 singularity: smaller batch.  Both sides run the same
+     word-prime ladder (the batch shares one residue buffer); the
+     rank-deficient boards make each verdict run the ladder up to its
+     Hadamard certificate, not just the first prime. *)
   let mats =
     Array.init 200 (fun i ->
         if i mod 4 = 0 then

@@ -2,8 +2,9 @@
    DESIGN.md section 6:
 
    B1  bigint multiplication: schoolbook vs Karatsuba across sizes
-   B2  determinant: Bareiss vs CRT vs rational elimination
-   B3  rank: GF(2) bit-matrix vs rational elimination
+   B2  determinant: Bareiss vs word-prime CRT vs rational elimination
+   B3  rank: GF(2) bit-matrix vs rational elimination vs the certified
+       word-prime ladder (the same rank over ℚ)
    B4  protocol channel overhead (send throughput)
    B5  base-(-q) digit extraction
    B6  subspace membership (the Lemma 3.2 inner loop)
@@ -58,7 +59,7 @@ let b2_det () =
         (Staged.stage (fun () -> ignore (Zm.det_bareiss m)));
       Test.make
         ~name:(Printf.sprintf "det-crt-%d" dim)
-        (Staged.stage (fun () -> ignore (Zm.det_crt m)));
+        (Staged.stage (fun () -> ignore (Zm.det m)));
       Test.make
         ~name:(Printf.sprintf "det-rational-%d" dim)
         (Staged.stage (fun () -> ignore (Qm.det mq)));
@@ -83,6 +84,10 @@ let b3_rank () =
       Test.make
         ~name:(Printf.sprintf "rank-rational-%d" dim)
         (Staged.stage (fun () -> ignore (Qm.rank qm)));
+      Test.make
+        ~name:(Printf.sprintf "rank-word-%d" dim)
+        (Staged.stage (fun () ->
+             ignore (Commx_comm.Rank_bound.rational_rank bm)));
     ]
   in
   Test.make_grouped ~name:"B3-rank" ~fmt:"%s %s"

@@ -130,9 +130,9 @@ let singular path =
   let m = read_matrix path in
   if not (Zm.is_square m) then `Error (false, "matrix is not square")
   else begin
-    let d = Zm.det m in
+    let d, rank = Zm.det_rank m in
     Printf.printf "dimension: %d\nrank: %d\ndet: %s\nsingular: %b\n"
-      (Zm.rows m) (Zm.rank m) (B.to_string d) (B.is_zero d);
+      (Zm.rows m) rank (B.to_string d) (B.is_zero d);
     `Ok ()
   end
 

@@ -433,41 +433,6 @@ let rem_int x m =
   done;
   if x.sign < 0 && !r <> 0 then m - !r else !r
 
-(* Arena of reusable limb/residue workspaces.  Magnitude kernels above
-   are purely functional and allocate per call; sweeps that churn
-   through thousands of instances (E6/E7-scale determinant batches)
-   instead check buffers out of an arena and return them, so the
-   steady state allocates nothing.  Buffers are handed back with
-   length >= the request and unspecified contents. *)
-module Arena = struct
-  type t = {
-    mutable free : int array list;
-    mutable fresh : int;
-    mutable reused : int;
-  }
-
-  let create () = { free = []; fresh = 0; reused = 0 }
-
-  let alloc t n =
-    let rec take acc = function
-      | [] -> None
-      | b :: rest when Array.length b >= n ->
-          t.free <- List.rev_append acc rest;
-          Some b
-      | b :: rest -> take (b :: acc) rest
-    in
-    match take [] t.free with
-    | Some b ->
-        t.reused <- t.reused + 1;
-        b
-    | None ->
-        t.fresh <- t.fresh + 1;
-        Array.make (Stdlib.max n 1) 0
-
-  let release t b = t.free <- b :: t.free
-  let stats t = (t.fresh, t.reused)
-end
-
 let pow b e =
   if e < 0 then invalid_arg "Bigint.pow: negative exponent";
   let rec go acc b e =

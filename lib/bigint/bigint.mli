@@ -84,40 +84,11 @@ val erem : t -> t -> t
 val rem_int : t -> int -> int
 (** [rem_int x m] is the Euclidean remainder of [x] modulo [m], in
     [\[0, m)] — equal to [to_int (erem x (of_int m))] but computed
-    limb-by-limb with zero allocation.  This is the entry point of the
-    batched determinant filter, which reduces every matrix entry mod a
-    word prime before deciding whether an exact bignum elimination is
-    needed at all.  Requires [1 < m < 2^31] (one limb).
+    limb-by-limb with zero allocation.  This is how every exact
+    integer-matrix rank, determinant and singularity answer reduces its
+    entries to the word residues it eliminates on.  Requires
+    [1 < m < 2^31] (one limb).
     @raise Invalid_argument outside that range. *)
-
-(** Arena of reusable scratch buffers for batch kernels.
-
-    The arithmetic in this module is purely functional and allocates
-    per call; that is the right default, but a sweep over thousands of
-    matrices (the E6/E7 determinant experiments, the load bench's
-    singularity mix) spends a measurable fraction of its time in the
-    allocator.  An arena lets such a sweep check an [int array]
-    workspace out, fill it with word-size residues via {!rem_int},
-    and hand it back — the steady state allocates nothing.  Arenas are
-    not thread-safe; give each domain its own. *)
-module Arena : sig
-  type t
-
-  val create : unit -> t
-
-  val alloc : t -> int -> int array
-  (** [alloc a n] returns a buffer of length [>= n] with unspecified
-      contents — a previously {!release}d buffer when one is large
-      enough, a fresh one otherwise.  Use only the first [n] cells. *)
-
-  val release : t -> int array -> unit
-  (** Return a buffer to the arena for reuse.  The caller must not
-      touch it afterwards. *)
-
-  val stats : t -> int * int
-  (** [(fresh, reused)] allocation counters — the reuse ratio is the
-      whole point, so the benches assert on it. *)
-end
 
 val pow : t -> int -> t
 (** [pow b e] for [e >= 0]. @raise Invalid_argument on negative [e]. *)

@@ -46,6 +46,48 @@ module Word = struct
     reduce m t
 
   let neg m x = if x = 0 then 0 else m - reduce m x
+
+  let elim m a ~rows ~cols =
+    if rows < 0 || cols < 0 || Array.length a < rows * cols then
+      invalid_arg "Modarith.Word.elim: bad dimensions";
+    let det = ref 1 and rank = ref 0 and col = ref 0 in
+    while !rank < rows && !col < cols do
+      let c = !col and top = !rank * cols in
+      let piv = ref !rank in
+      while !piv < rows && a.((!piv * cols) + c) = 0 do
+        incr piv
+      done;
+      if !piv < rows then begin
+        if !piv <> !rank then begin
+          let other = !piv * cols in
+          for j = c to cols - 1 do
+            let t = a.(top + j) in
+            a.(top + j) <- a.(other + j);
+            a.(other + j) <- t
+          done;
+          det := neg m !det
+        end;
+        let pv = a.(top + c) in
+        det := mul m !det pv;
+        let pinv = inv m pv in
+        for i = !rank + 1 to rows - 1 do
+          let row = i * cols in
+          let f = a.(row + c) in
+          if f <> 0 then begin
+            (* Row update with the negated multiplier, so each cell is
+               one non-negative multiply-add and a single [mod]: below
+               2^31 * 2^31 + 2^31, inside a 63-bit int. *)
+            let nf = m - mul m f pinv in
+            for j = c + 1 to cols - 1 do
+              a.(row + j) <- (a.(row + j) + (nf * a.(top + j))) mod m
+            done
+          end
+        done;
+        incr rank
+      end;
+      incr col
+    done;
+    ((if rows = cols && !rank = rows then !det else 0), !rank)
 end
 
 let add ~m a b = Bigint.erem (Bigint.add a b) m

@@ -3,8 +3,9 @@
     The word-size flavour ({!Word}) works modulo an [int] modulus below
     2^31 so that products never overflow a 63-bit native int; it powers
     the randomized fingerprinting protocol (entries reduced mod a random
-    prime) and the CRT determinant.  The bignum flavour operates on
-    {!Bigint} values for arbitrary moduli. *)
+    prime) and, through {!Word.elim}, every exact rank, determinant and
+    singularity computation on integer matrices.  The bignum flavour
+    operates on {!Bigint} values for arbitrary moduli. *)
 
 module Word : sig
   type modulus = private int
@@ -44,6 +45,20 @@ module Word : sig
       arguments. *)
 
   val neg : modulus -> int -> int
+
+  val elim : modulus -> int array -> rows:int -> cols:int -> int * int
+  (** [elim m a ~rows ~cols] is [(det, rank)] of the [rows] x [cols]
+      matrix held row-major in the first [rows * cols] cells of [a], by
+      one pass of Gaussian elimination over GF(m).  Entries must be
+      canonical residues and [m] must be prime.  [det] is the
+      determinant mod [m] for square input ([1] for 0 x 0) and [0] for
+      rectangular input.  [a] is overwritten.  This is the one word
+      elimination behind the exact integer-matrix rank, determinant and
+      singularity answers and the rational rank of 0/1 boards.
+      @raise Invalid_argument on a negative dimension or when [a] holds
+      fewer than [rows * cols] cells.
+      @raise Division_by_zero when a pivot is not invertible, which
+      only a composite [m] allows. *)
 end
 
 (** Arbitrary-precision modular operations.  All arguments are reduced

@@ -1,4 +1,5 @@
 let word_limit = 1 lsl 31
+let ladder_floor_bits = 29
 
 (* Deterministic Miller-Rabin witnesses valid for all n < 2^64. *)
 let witnesses = [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37 ]
@@ -58,6 +59,32 @@ let nth_prime_below i bound =
     else go (c - 1) remaining
   in
   go (bound - 1) i
+
+(* The ladder is published as an immutable array behind an atomic, so
+   domains read it without locks.  Two domains growing it at once both
+   compute the same prefix; whichever array lands last is still a valid
+   prefix, merely possibly shorter. *)
+let ladder_cache = Atomic.make [||]
+
+let ladder i =
+  if i < 0 then invalid_arg "Primes.ladder: negative index";
+  let have = Atomic.get ladder_cache in
+  let n = Array.length have in
+  if i < n then have.(i)
+  else begin
+    let grown = Array.make (max (i + 1) (max 8 (2 * n))) 0 in
+    Array.blit have 0 grown 0 n;
+    for j = n to Array.length grown - 1 do
+      let p = nth_prime_below 0 (if j = 0 then 1 lsl 30 else grown.(j - 1)) in
+      if p <= 1 lsl ladder_floor_bits then
+        failwith "Primes.ladder: ran below 2^29";
+      grown.(j) <- p
+    done;
+    Atomic.set ladder_cache grown;
+    grown.(i)
+  end
+
+let ladder_exceeds t bits = t > 0 && ladder_floor_bits * t >= bits
 
 let random_prime g ~bits =
   if bits < 2 || bits > 30 then

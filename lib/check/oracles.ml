@@ -54,6 +54,13 @@ let rec det_cofactor m =
     !acc
   end
 
+(* Exact elimination over ℚ: shares nothing with the word-prime ladder
+   it checks. *)
+let board_rank_q m =
+  Commx_linalg.Qmatrix.rank
+    (Commx_linalg.Qmatrix.of_int_matrix (Bitmat.rows m) (Bitmat.cols m)
+       (fun i j -> Bool.to_int (Bitmat.get m i j)))
+
 module Table_model = struct
   type t = (int, int) Hashtbl.t
 

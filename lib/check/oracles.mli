@@ -25,6 +25,11 @@ val det_cofactor : Commx_linalg.Zmatrix.t -> Commx_bigint.Bigint.t
     tiny matrices the fuzzer draws.
     @raise Invalid_argument on non-square input. *)
 
+val board_rank_q : Commx_util.Bitmat.t -> int
+(** Rank of a 0/1 board by elimination over ℚ ({!Commx_linalg.Qmatrix})
+    — the oracle for {!Commx_comm.Rank_bound.rational_rank}, which
+    runs on word primes instead. *)
+
 (** Association model of {!Commx_util.Txtable}: last write wins, no
     capacity, no eviction.  An unbudgeted table must agree exactly; a
     budgeted table must be {e fail-soft} against it (absent or equal,

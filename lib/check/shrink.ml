@@ -1,5 +1,6 @@
 module B = Commx_bigint.Bigint
 module Bitmat = Commx_util.Bitmat
+module Zm = Commx_linalg.Zmatrix
 
 type 'a t = 'a -> 'a Seq.t
 
@@ -91,3 +92,25 @@ let bitmat m =
     done
   done;
   List.to_seq (dim_halves @ !cleared)
+
+let zmatrix m =
+  let r = Zm.rows m and c = Zm.cols m in
+  let keep n drop =
+    Array.of_list (List.filter (( <> ) drop) (List.init n Fun.id))
+  in
+  let all n = Array.init n Fun.id in
+  let drop_row = Seq.init r (fun i -> Zm.submatrix m (keep r i) (all c)) in
+  let drop_col = Seq.init c (fun j -> Zm.submatrix m (all r) (keep c j)) in
+  let entries =
+    Seq.concat_map
+      (fun k ->
+        let i = k / c and j = k mod c in
+        Seq.map
+          (fun v ->
+            let m' = Zm.copy m in
+            Zm.set m' i j v;
+            m')
+          (bigint (Zm.get m i j)))
+      (Seq.init (r * c) Fun.id)
+  in
+  Seq.append drop_row (Seq.append drop_col entries)

@@ -33,3 +33,8 @@ val bigint : Commx_bigint.Bigint.t t
 val bitmat : Commx_util.Bitmat.t t
 (** Halves the dimensions, then clears one set bit at a time — a
     minimal counterexample matrix is usually sparse and tiny. *)
+
+val zmatrix : Commx_linalg.Zmatrix.t t
+(** Drops one row, then one column, then shrinks one entry at a time
+    via {!bigint} — keeps whatever structure (a zero row, a common
+    factor) the failure still needs. *)

@@ -507,7 +507,7 @@ let zmatrix_det_agreement =
       let d = Zm.det_bareiss m in
       all_of
         [
-          ("crt", fun () -> B.equal (Zm.det_crt m) d);
+          ("crt", fun () -> B.equal (Zm.det m) d);
           ("cofactor", fun () -> B.equal (Oracles.det_cofactor m) d);
           ( "rank_full_iff_nonsingular",
             fun () -> (Zm.rank m = Zm.rows m) = not (B.is_zero d) );
@@ -523,10 +523,10 @@ let zmatrix_det_agreement =
               Zm.det_mod_p m p = Mod.Word.reduce_big mm d );
         ])
 
-(* Batched singularity must agree with the scalar Bareiss verdict on a
-   mix that forces both of its paths: random matrices (the mod-p
-   filter certifies nonsingular) and rank-deficient constructions (the
-   filter vanishes mod every prime and escalates to the exact det). *)
+(* Batched singularity must agree with the scalar verdict on a mix
+   that forces both of its paths: random matrices (the first ladder
+   prime certifies nonsingular) and rank-deficient constructions (det
+   vanishes mod every prime until the Hadamard bound is covered). *)
 let show_zmatrix m =
   String.concat "\n"
     (List.init (Zm.rows m) (fun i ->
@@ -559,6 +559,90 @@ let zmatrix_singular_batch =
                 (List.map string_of_bool (Array.to_list scalar)))))
 
 (* ------------------------------------------------------------------ *)
+(* Word-prime exact answers vs. elimination over ℚ and Bareiss         *)
+(* ------------------------------------------------------------------ *)
+
+type exact_case = Integer of Zm.t | Board of Bitmat.t
+
+(* Integer matrices from 0 x 0 to 9 x 9: random or a rank-deficient
+   product, entries past 2^62 of either sign, then (independently) some
+   rows and columns zeroed and the whole matrix scaled by the first one
+   or two ladder primes — the scaling makes every rank and determinant
+   vanish mod those primes, so a loop that trusts its first primes
+   answers wrong.  Boards are GF(2) products up to 20 x 20. *)
+let gen_exact_case g =
+  if Prng.int g 4 = 0 then begin
+    let r = Prng.int_incl g 0 20 and c = Prng.int_incl g 0 20 in
+    let k = Prng.int_incl g 1 20 in
+    Board (Bitmat.mul (Bitmat.random g r k) (Bitmat.random g k c))
+  end
+  else begin
+    let r = Prng.int_incl g 0 9 and c = Prng.int_incl g 0 9 in
+    let m =
+      if r > 0 && c > 0 && Prng.bool g then
+        let k = Prng.int g (Stdlib.min r c) in
+        let bits = Gen.int_range 0 12 in
+        Zm.mul
+          (Gen.zmatrix ~rows:(Gen.return r) ~cols:(Gen.return k) ~bits g)
+          (Gen.zmatrix ~rows:(Gen.return k) ~cols:(Gen.return c) ~bits g)
+      else
+        Gen.zmatrix ~rows:(Gen.return r) ~cols:(Gen.return c)
+          ~bits:(Gen.int_range 0 70) g
+    in
+    let m =
+      if Prng.int g 3 > 0 then m
+      else
+        let zr = Array.init r (fun _ -> Prng.int g 4 = 0) in
+        let zc = Array.init c (fun _ -> Prng.int g 4 = 0) in
+        Zm.mapi (fun i j v -> if zr.(i) || zc.(j) then B.zero else v) m
+    in
+    let p0 = B.of_int (Commx_bigint.Primes.ladder 0) in
+    let p1 = B.of_int (Commx_bigint.Primes.ladder 1) in
+    Integer
+      (match Prng.int g 3 with
+      | 0 -> Zm.scale p0 m
+      | 1 -> Zm.scale (B.mul p0 p1) m
+      | _ -> m)
+  end
+
+let zmatrix_exact_vs_rational =
+  Property.make ~name:"zmatrix.exact_vs_rational" ~gen:gen_exact_case
+    ~shrink:(function
+      | Integer m -> Seq.map (fun m -> Integer m) (Shrink.zmatrix m)
+      | Board b -> Seq.map (fun b -> Board b) (Shrink.bitmat b))
+    ~show:(function
+      | Integer m ->
+          Printf.sprintf "%dx%d integer\n%s" (Zm.rows m) (Zm.cols m)
+            (show_zmatrix m)
+      | Board b -> show_bitmat b)
+    (function
+      | Board b ->
+          all_of
+            [
+              ( "rational_rank",
+                fun () ->
+                  Commx_comm.Rank_bound.rational_rank b
+                  = Oracles.board_rank_q b );
+            ]
+      | Integer m ->
+          let q_rank = Commx_linalg.Qmatrix.rank (Zm.to_qmatrix m) in
+          let square = Zm.is_square m in
+          let d = if square then Zm.det_bareiss m else B.zero in
+          all_of
+            [
+              ("rank", fun () -> Zm.rank m = q_rank);
+              ("det", fun () -> (not square) || B.equal (Zm.det m) d);
+              ( "det_rank",
+                fun () ->
+                  (not square)
+                  ||
+                  let d', r' = Zm.det_rank m in
+                  B.equal d' d && r' = q_rank );
+              ( "is_singular",
+                fun () -> (not square) || Zm.is_singular m = B.is_zero d );
+            ])
+
+(* ------------------------------------------------------------------ *)
 (* Lemma 3.2 criterion vs. direct determinant on Fig. 1/3 instances    *)
 (* ------------------------------------------------------------------ *)
 
@@ -580,7 +664,7 @@ let lemma32_vs_determinant =
                  and a true Lemma 3.2 criterion. *)
               let w = L35.complete p ~c:f.H.c ~e:f.H.e in
               L35.check_witness p w
-              && B.is_zero (Zm.det_crt (H.build_m p w.L35.free))
+              && B.is_zero (Zm.det (H.build_m p w.L35.free))
               && L32.criterion p w.L35.free );
         ])
 
@@ -1017,6 +1101,7 @@ let all () =
     exact_cc_lb_portfolio_sound;
     zmatrix_det_agreement;
     zmatrix_singular_batch;
+    zmatrix_exact_vs_rational;
     lemma32_vs_determinant;
     json_roundtrip;
     wire_bit_matrix_decode;

@@ -15,7 +15,9 @@
       the certified lower/upper bound sandwich, and the packed-hex
       content key vs. the old text key (same alias classes);
     - [zmatrix.*] — Bareiss and CRT determinants vs. cofactor
-      expansion, rank/determinant consistency, the Hadamard bound;
+      expansion, rank/determinant consistency, the Hadamard bound, and
+      the word-prime rank, det, det_rank and singularity (and the 0/1
+      rational rank) vs. elimination over ℚ and Bareiss;
     - [lemma32.*] — the singularity criterion vs. direct determinant
       evaluation on random and on completed (Lemma 3.5(a)) restricted
       Fig. 1/3 instances;

@@ -400,8 +400,9 @@ let rank_fooling_lower m =
 (* Mehlhorn–Schmidt over ℚ, both colors: the 1-leaves sum to M as
    rank-1 rational matrices, so 1-leaves >= rank_Q M; the 0-leaves sum
    to the complement likewise.  Rational rank dominates GF(2) rank, so
-   this frequently beats [rank_fooling_lower] — at the cost of exact
-   rational elimination. *)
+   this frequently beats [rank_fooling_lower] — at the cost of two
+   certified word-prime rank computations ({!Rank_bound.rational_rank}),
+   a few word eliminations each. *)
 let log_rank_lower m =
   ceil_log2
     (Rank_bound.rational_rank m + Rank_bound.rational_rank (Bm.complement m))

@@ -221,8 +221,8 @@ val lower_bound_portfolio : Commx_util.Bitmat.t -> (string * int) list
     {!search} this puts no cheapest-first early exit in the way — all
     members are computed — so it is the bench/experiment view of the
     portfolio.  Never raises on oversize boards, but discrepancy and
-    rational elimination grow exponentially/cubically with size; keep
-    it to boards the engine itself admits. *)
+    the word-prime rank eliminations grow exponentially/cubically with
+    size; keep it to boards the engine itself admits. *)
 
 val canonical_dims : Commx_util.Bitmat.t -> int * int
 (** [(rows, cols)] of the canonical matrix — the dimensions

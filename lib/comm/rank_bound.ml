@@ -1,15 +1,33 @@
 module Bm = Commx_util.Bitmat
-module Qm = Commx_linalg.Qmatrix
-module Q = Commx_bigint.Rational
+module Zm = Commx_linalg.Zmatrix
 
 let gf2_rank = Bm.rank
 
+let rec bit_length x = if x = 0 then 0 else 1 + bit_length (x lsr 1)
+
+(* The 0/1 cells never change residue, so every prime starts from the
+   same buffer.  A 0/1 row's squared norm is its popcount, so every
+   minor is at most sqrt (prod_i max(1, popcount_i)) <= 2^(S/2) with
+   S = sum_i bit_length popcount_i: an integer bound, no bignums. *)
 let rational_rank m =
-  let qm =
-    Qm.init (Bm.rows m) (Bm.cols m) (fun i j ->
-        if Bm.get m i j then Q.one else Q.zero)
+  let nr = Bm.rows m and nc = Bm.cols m in
+  let cells =
+    Array.init (nr * nc) (fun c -> Bool.to_int (Bm.get m (c / nc) (c mod nc)))
   in
-  Qm.rank qm
+  let bits =
+    lazy
+      (let s = ref 0 in
+       for i = 0 to nr - 1 do
+         let ones = ref 0 in
+         for j = 0 to nc - 1 do
+           ones := !ones + cells.((i * nc) + j)
+         done;
+         s := !s + bit_length !ones
+       done;
+       (!s + 1) / 2)
+  in
+  Zm.ladder_rank ~rows:nr ~cols:nc ~bits (fun buf _ ->
+      Array.blit cells 0 buf 0 (nr * nc))
 
 let log_rank_bound m =
   let r = rational_rank m in

@@ -11,7 +11,12 @@ val gf2_rank : Commx_util.Bitmat.t -> int
 (** Rank of the 0/1 truth matrix over GF(2). *)
 
 val rational_rank : Commx_util.Bitmat.t -> int
-(** Rank of the 0/1 truth matrix over ℚ (>= GF(2) rank). *)
+(** Rank of the 0/1 truth matrix over ℚ (>= GF(2) rank), exact: the
+    max of its ranks modulo word primes of
+    {!Commx_bigint.Primes.ladder}, taken until their product exceeds
+    the integer Hadamard bound [2^(S/2)], [S] the sum over rows of the
+    bit length of the row's popcount — no elimination over ℚ.  Stops
+    at the first prime that reaches full rank. *)
 
 val log_rank_bound : Commx_util.Bitmat.t -> float
 (** [log2 (rational rank)], a communication lower bound in bits

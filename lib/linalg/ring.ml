@@ -2,11 +2,12 @@
     the library.
 
     The exact linear-algebra layer is written once, generically, and
-    instantiated three times: over the integers ℤ (for Bareiss
-    fraction-free elimination and Hadamard bounds), over the rationals
-    ℚ (for rank / solve / LUP / span operations — the decisions the
-    paper's problems reduce to), and over prime fields GF(p) (for the
-    fingerprinting protocol and the CRT determinant). *)
+    instantiated twice: over the integers ℤ (for Bareiss fraction-free
+    elimination and Hadamard bounds) and over the rationals ℚ (for
+    solve / LUP / span operations — the decisions the paper's problems
+    reduce to).  Prime fields GF(p) need no instance: integer rank,
+    determinant and singularity run on unboxed word residues
+    ({!Commx_bigint.Modarith.Word.elim}). *)
 
 module type RING = sig
   type t
@@ -43,40 +44,4 @@ module Q : FIELD with type t = Commx_bigint.Rational.t = struct
   include Commx_bigint.Rational
 
   let to_string = Commx_bigint.Rational.to_string
-end
-
-(** Prime fields with word-size moduli.  The functor argument carries
-    the modulus; primality is the caller's responsibility (checked in
-    debug builds via {!Commx_bigint.Primes.is_prime}). *)
-module type PRIME = sig
-  val p : int
-end
-
-module Gfp (P : PRIME) : sig
-  include FIELD with type t = int
-
-  val of_int : int -> t
-  val of_bigint : Commx_bigint.Bigint.t -> t
-  val p : int
-end = struct
-  type t = int
-
-  let p = P.p
-  let m = Commx_bigint.Modarith.Word.modulus P.p
-
-  let () = assert (Commx_bigint.Primes.is_prime P.p)
-
-  let zero = 0
-  let one = 1 mod P.p
-  let add = Commx_bigint.Modarith.Word.add m
-  let sub = Commx_bigint.Modarith.Word.sub m
-  let neg = Commx_bigint.Modarith.Word.neg m
-  let mul = Commx_bigint.Modarith.Word.mul m
-  let inv = Commx_bigint.Modarith.Word.inv m
-  let div a b = mul a (inv b)
-  let equal = Int.equal
-  let is_zero x = x = 0
-  let to_string = string_of_int
-  let of_int = Commx_bigint.Modarith.Word.reduce m
-  let of_bigint = Commx_bigint.Modarith.Word.reduce_big m
 end

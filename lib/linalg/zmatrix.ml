@@ -6,12 +6,13 @@
     - {!det_bareiss}: fraction-free Gaussian elimination (Bareiss 1968).
       All intermediate values are exact integers (each is itself a minor
       of the input), avoiding rational blow-up.
-    - {!hadamard_bound}: Hadamard's inequality, used to size the CRT
-      prime ladder.
-    - {!det_crt}: determinant by Chinese remaindering over word-size
-      primes — the "fast path" benched against Bareiss in the ablation.
-    - {!rank}: exact rank (delegated to elimination over ℚ).
-    - reductions mod p for the fingerprinting protocol. *)
+    - {!hadamard_bound}: Hadamard's inequality, bounding every minor.
+    - {!rank}, {!det}, {!det_rank}, {!is_singular}: exact answers from
+      one word-size elimination ({!Commx_bigint.Modarith.Word.elim})
+      per prime of a fixed ladder below 2^30, certified by the
+      Hadamard bound (rank = max rank mod p, det by CRT) — no
+      elimination over ℚ.
+    - reductions mod a caller's prime for the fingerprinting protocol. *)
 
 module B = Commx_bigint.Bigint
 module Q = Commx_bigint.Rational
@@ -124,173 +125,155 @@ let det_bareiss m =
         if !sign < 0 then B.neg d else d
   end
 
-let det = det_bareiss
+(* ------------------------------------------------------------------ *)
+(* Hadamard bound                                                      *)
+(* ------------------------------------------------------------------ *)
 
-let is_singular m = B.is_zero (det_bareiss m)
-
-let rank m = Qmatrix.rank (to_qmatrix m)
+(** [hadamard_bound m]: an integer H bounding the absolute value of
+    every minor of [m] (of any shape), in particular |det m| for square
+    [m].  From Hadamard's inequality |det| <= prod_i ||row_i||_2: a
+    minor uses some of the rows, each restricted to some of the
+    columns, so H = ceil sqrt (prod_i max(1, ||row_i||^2)) covers it.
+    The max(1, .) is what makes H bound the minors that avoid a zero
+    row; without it a zero row would give H = 0. *)
+let hadamard_bound m =
+  let prod = ref B.one in
+  for i = 0 to rows m - 1 do
+    let s = ref B.zero in
+    for j = 0 to cols m - 1 do
+      let v = get m i j in
+      s := B.add !s (B.mul v v)
+    done;
+    prod := B.mul !prod (if B.is_zero !s then B.one else !s)
+  done;
+  B.isqrt_ceil !prod
 
 (* ------------------------------------------------------------------ *)
-(* Batched Lemma 3.2 singularity                                       *)
+(* Certified word-prime elimination                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* Every exact answer below runs {!W.elim} on residues modulo the fixed
+   prime ladder ({!P.ladder}, primes just below 2^30) and certifies it
+   with the Hadamard bound H.  A nonzero minor D has |D| <= H, so it
+   cannot vanish modulo primes whose product exceeds H:
+
+   - rank over ℚ = max of the ranks mod those primes (each is <= it);
+   - det = 0 iff det vanishes mod all of them;
+   - det is the symmetric CRT lift once the product exceeds 2H.
+
+   The products are judged by {!P.ladder_exceeds} from the ladder's
+   2^29 floor and the bit length of H, without bignum products. *)
 
 module W = Commx_bigint.Modarith.Word
 
-(* Determinant of [m] modulo a word prime, eliminated entirely in a
-   word-size residue workspace checked out of [arena].  Unlike
-   {!det_mod_p} (which instantiates the [Ring.Gfp] functor and boxes
-   every residue), this touches the bignum layer only through
-   [B.rem_int], so the whole elimination allocates nothing past the
-   arena's steady state. *)
-let det_word_mod arena mw m n =
-  let p = W.to_int mw in
-  let a = B.Arena.alloc arena (n * n) in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      a.((i * n) + j) <- B.rem_int (get m i j) p
-    done
-  done;
-  let det = ref 1 in
-  (try
-     for c = 0 to n - 1 do
-       let piv = ref (-1) in
-       let r = ref c in
-       while !piv < 0 && !r < n do
-         if a.((!r * n) + c) <> 0 then piv := !r;
-         incr r
-       done;
-       if !piv < 0 then begin
-         det := 0;
-         raise Exit
-       end;
-       if !piv <> c then begin
-         for j = c to n - 1 do
-           let t = a.((c * n) + j) in
-           a.((c * n) + j) <- a.((!piv * n) + j);
-           a.((!piv * n) + j) <- t
-         done;
-         det := W.neg mw !det
-       end;
-       let pv = a.((c * n) + c) in
-       det := W.mul mw !det pv;
-       let pinv = W.inv mw pv in
-       for r2 = c + 1 to n - 1 do
-         let f = W.mul mw a.((r2 * n) + c) pinv in
-         if f <> 0 then
-           for j = c to n - 1 do
-             a.((r2 * n) + j) <- W.sub mw a.((r2 * n) + j) (W.mul mw f a.((c * n) + j))
-           done
-       done
-     done
-   with Exit -> ());
-  B.Arena.release arena a;
-  !det
+let minor_bits m = B.bit_length (hadamard_bound m)
 
-(* The two largest primes below 2^30 — the top of the same ladder
-   {!det_crt} draws from.  Computed once per process, not per batch. *)
-let batch_primes =
-  lazy
-    (let p1 = P.nth_prime_below 0 ((1 lsl 30) + 1) in
-     let p2 = P.nth_prime_below 0 p1 in
-     (W.modulus p1, W.modulus p2))
+(* Canonical residues of the entries mod [p], row-major, into [buf]. *)
+let residues buf m p =
+  Array.iteri (fun i v -> buf.(i) <- B.rem_int v p) m.data
 
-let singular_batch ms =
-  Array.iter
-    (fun m -> if not (is_square m) then invalid_arg "Zmatrix.singular_batch: not square")
-    ms;
-  let m1, m2 = Lazy.force batch_primes in
-  let arena = B.Arena.create () in
-  Array.map
-    (fun m ->
-      let n = rows m in
-      (* A determinant that survives mod either prime certifies
-         nonsingularity with zero bignum allocation; only matrices
-         vanishing mod both escalate to the exact Bareiss determinant,
-         which is the sole sound witness of singularity.  Random k-bit
-         nonsingular matrices essentially never reach the exact path
-         (that would need det divisible by two ~2^30 primes). *)
-      if n = 0 then is_singular m
-      else if det_word_mod arena m1 m n <> 0 then false
-      else if det_word_mod arena m2 m n <> 0 then false
-      else is_singular m)
-    ms
+(** [ladder_rank ~rows ~cols ~bits fill] is the rank over ℚ of an
+    integer matrix given by [fill buf p], which writes its canonical
+    residues mod [p] row-major into [buf], and by [bits], with every
+    minor at most [2^bits] in absolute value (forced only when the
+    first prime falls short of full rank).  It takes the max of the
+    ranks mod successive ladder primes until their product exceeds
+    [2^bits], stopping early at [min rows cols]. *)
+let ladder_rank ~rows:nr ~cols:nc ~bits fill =
+  let full = Stdlib.min nr nc in
+  let buf = Array.make (nr * nc) 0 in
+  let rec go t best =
+    if best = full || (t > 0 && P.ladder_exceeds t (Lazy.force bits)) then
+      best
+    else begin
+      let p = P.ladder t in
+      fill buf p;
+      let _, r = W.elim (W.modulus p) buf ~rows:nr ~cols:nc in
+      go (t + 1) (Stdlib.max best r)
+    end
+  in
+  go 0 0
 
-(* ------------------------------------------------------------------ *)
-(* Hadamard bound and CRT determinant                                  *)
-(* ------------------------------------------------------------------ *)
+let rank m =
+  ladder_rank ~rows:(rows m) ~cols:(cols m)
+    ~bits:(lazy (minor_bits m))
+    (fun buf p -> residues buf m p)
 
-(** [hadamard_bound m]: an integer H with |det m| <= H, from Hadamard's
-    inequality |det| <= prod_i ||row_i||_2, computed without square
-    roots as ceil over the product of row-norm squares. *)
-let hadamard_bound m =
-  if not (is_square m) then invalid_arg "Zmatrix.hadamard_bound";
+(** [det_rank m] is [(det m, rank m)] from one elimination per ladder
+    prime: the determinant residues are lifted by CRT once the product
+    exceeds 2H, and the ranks along the way certify the rank. *)
+let det_rank m =
+  if not (is_square m) then invalid_arg "Zmatrix.det_rank: not square";
   let n = rows m in
-  if n = 0 then B.one
-  else begin
-    (* prod ||r_i||^2, then isqrt rounded up. *)
-    let prod = ref B.one in
-    for i = 0 to n - 1 do
-      let s = ref B.zero in
-      for j = 0 to n - 1 do
-        let v = get m i j in
-        s := B.add !s (B.mul v v)
-      done;
-      (* A zero row forces det = 0; bound 0 is fine. *)
-      prod := B.mul !prod !s
-    done;
-    if B.is_zero !prod then B.zero else B.isqrt_ceil !prod
-  end
+  let bits = minor_bits m + 1 in
+  let buf = Array.make (n * n) 0 in
+  let rec go t rank acc =
+    if P.ladder_exceeds t bits then begin
+      let x, modulus = Commx_bigint.Modarith.crt acc in
+      (* Symmetric lift: values above modulus/2 are negative. *)
+      let half = B.shift_right modulus 1 in
+      ((if B.compare x half > 0 then B.sub x modulus else x), rank)
+    end
+    else begin
+      let p = P.ladder t in
+      residues buf m p;
+      let d, r = W.elim (W.modulus p) buf ~rows:n ~cols:n in
+      go (t + 1) (Stdlib.max rank r) ((B.of_int d, B.of_int p) :: acc)
+    end
+  in
+  go 0 0 []
 
-(** Determinant modulo a word prime, via GF(p) elimination — O(n^3)
-    word operations. *)
+(** [det m] is the exact determinant, by CRT over the ladder
+    ({!det_rank}); {!det_bareiss} is its independent oracle. *)
+let det m = fst (det_rank m)
+
+(* Singularity in a caller-supplied buffer: nonsingular at the first
+   prime where det survives, singular once det has vanished modulo
+   primes whose product exceeds H (no CRT needed). *)
+let singular_in buf m =
+  let n = rows m in
+  let bits = lazy (minor_bits m) in
+  let rec go t =
+    let p = P.ladder t in
+    residues buf m p;
+    let d, _ = W.elim (W.modulus p) buf ~rows:n ~cols:n in
+    d = 0 && (P.ladder_exceeds (t + 1) (Lazy.force bits) || go (t + 1))
+  in
+  go 0
+
+let is_singular m =
+  if not (is_square m) then invalid_arg "Zmatrix.is_singular: not square";
+  singular_in (Array.make (rows m * rows m) 0) m
+
+(** Singularity of a batch, sharing one residue buffer. *)
+let singular_batch ms =
+  let cells =
+    Array.fold_left
+      (fun acc m ->
+        if not (is_square m) then
+          invalid_arg "Zmatrix.singular_batch: not square";
+        Stdlib.max acc (rows m * rows m))
+      0 ms
+  in
+  let buf = Array.make cells 0 in
+  Array.map (singular_in buf) ms
+
+(* One word elimination modulo a caller's prime [p] (any prime below
+   2^31, not necessarily on the ladder). *)
+let elim_mod_p m p =
+  if not (P.is_prime p) then invalid_arg "Zmatrix: modulus is not prime";
+  let buf = Array.make (rows m * cols m) 0 in
+  residues buf m p;
+  W.elim (W.modulus p) buf ~rows:(rows m) ~cols:(cols m)
+
+(** Determinant modulo a word prime — O(n^3) word operations. *)
 let det_mod_p m p =
   if not (is_square m) then invalid_arg "Zmatrix.det_mod_p";
-  let module F =
-    Ring.Gfp (struct
-      let p = p
-    end)
-  in
-  let module Mp = Matrix.Make_field (F) in
-  let mp = Mp.init (rows m) (cols m) (fun i j -> F.of_bigint (get m i j)) in
-  Mp.det mp
+  fst (elim_mod_p m p)
 
 (** Rank modulo a word prime.  A lower bound on the true rank; equal to
     it for all but finitely many primes. *)
-let rank_mod_p m p =
-  let module F =
-    Ring.Gfp (struct
-      let p = p
-    end)
-  in
-  let module Mp = Matrix.Make_field (F) in
-  let mp = Mp.init (rows m) (cols m) (fun i j -> F.of_bigint (get m i j)) in
-  Mp.rank mp
-
-(** [det_crt m] computes the determinant by Chinese remaindering
-    det mod p over enough word-size primes that the product of moduli
-    exceeds twice the Hadamard bound, then lifting to the symmetric
-    range. *)
-let det_crt m =
-  if not (is_square m) then invalid_arg "Zmatrix.det_crt";
-  if rows m = 0 then B.one
-  else begin
-    let bound = B.add (B.shift_left (hadamard_bound m) 1) B.one in
-    (* Collect primes descending from 2^30 until their product covers
-       the bound. *)
-    let residues = ref [] in
-    let product = ref B.one in
-    let p = ref ((1 lsl 30) + 1) in
-    while B.compare !product bound <= 0 do
-      p := P.nth_prime_below 0 !p;
-      let r = det_mod_p m !p in
-      residues := (B.of_int r, B.of_int !p) :: !residues;
-      product := B.mul !product (B.of_int !p)
-    done;
-    let x, modulus = Commx_bigint.Modarith.crt !residues in
-    (* Symmetric lift: values above modulus/2 are negative. *)
-    let half = B.shift_right modulus 1 in
-    if B.compare x half > 0 then B.sub x modulus else x
-  end
+let rank_mod_p m p = snd (elim_mod_p m p)
 
 (* ------------------------------------------------------------------ *)
 (* Misc                                                                *)

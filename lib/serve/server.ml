@@ -358,9 +358,9 @@ let exec w (env : Wire.envelope) ~tag ~cancel =
           ("table_misses", Json.Int st.E.table_misses) ] )
   | Wire.Singular { matrix } ->
       if not (Zm.is_square matrix) then failwith "matrix is not square";
-      let d = Zm.det matrix in
+      let d, rank = Zm.det_rank matrix in
       ( [ ("dimension", Json.Int (Zm.rows matrix));
-          ("rank", Json.Int (Zm.rank matrix));
+          ("rank", Json.Int rank);
           ("det", Json.String (B.to_string d));
           ("singular", Json.Bool (B.is_zero d)) ],
         [] )

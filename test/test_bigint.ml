@@ -592,23 +592,36 @@ let test_rem_int_edges () =
     (Invalid_argument "Bigint.rem_int: modulus must be in (1, 2^31)") (fun () ->
       ignore (B.rem_int B.one (1 lsl 31)))
 
-let test_arena_reuse () =
-  let a = B.Arena.create () in
-  let b1 = B.Arena.alloc a 16 in
-  Alcotest.(check bool) "big enough" true (Array.length b1 >= 16);
-  Alcotest.(check (pair int int)) "first alloc is fresh" (1, 0)
-    (B.Arena.stats a);
-  B.Arena.release a b1;
-  let b2 = B.Arena.alloc a 10 in
-  Alcotest.(check bool) "released buffer comes back" true (b1 == b2);
-  Alcotest.(check (pair int int)) "second alloc reused" (1, 1)
-    (B.Arena.stats a);
-  (* A request larger than anything on the free list mints a buffer. *)
-  let b3 = B.Arena.alloc a 64 in
-  Alcotest.(check bool) "oversized request is fresh" true
-    (Array.length b3 >= 64 && not (b3 == b2));
-  Alcotest.(check (pair int int)) "fresh count moved" (2, 1)
-    (B.Arena.stats a)
+let test_prime_ladder () =
+  Alcotest.(check int) "top of the ladder" (P.nth_prime_below 0 (1 lsl 30))
+    (P.ladder 0);
+  for i = 1 to 40 do
+    let p = P.ladder i in
+    Alcotest.(check int) (Printf.sprintf "ladder %d is the next prime down" i)
+      (P.nth_prime_below 0 (P.ladder (i - 1))) p;
+    Alcotest.(check bool) "above the floor" true
+      (p > 1 lsl P.ladder_floor_bits)
+  done;
+  Alcotest.(check bool) "no primes cover nothing" false (P.ladder_exceeds 0 0);
+  Alcotest.(check bool) "one prime covers 2^29" true (P.ladder_exceeds 1 29);
+  Alcotest.(check bool) "one prime not 2^30" false (P.ladder_exceeds 1 30);
+  Alcotest.(check bool) "two primes cover 2^58" true (P.ladder_exceeds 2 58)
+
+let test_word_elim () =
+  let module W = Commx_bigint.Modarith.Word in
+  let m = W.modulus 101 in
+  let run rows cols cells = W.elim m (Array.of_list cells) ~rows ~cols in
+  Alcotest.(check (pair int int)) "0x0" (1, 0) (run 0 0 []);
+  (* det [[1,2],[3,4]] = -2 = 99 mod 101 *)
+  Alcotest.(check (pair int int)) "2x2" (99, 2) (run 2 2 [ 1; 2; 3; 4 ]);
+  (* a leading zero pivot forces a row swap *)
+  Alcotest.(check (pair int int)) "swap" (100, 2) (run 2 2 [ 0; 1; 1; 0 ]);
+  Alcotest.(check (pair int int)) "singular" (0, 1) (run 2 2 [ 1; 2; 2; 4 ]);
+  Alcotest.(check (pair int int)) "2x3 rank 2" (0, 2)
+    (run 2 3 [ 0; 0; 5; 0; 7; 1 ]);
+  Alcotest.check_raises "short buffer"
+    (Invalid_argument "Modarith.Word.elim: bad dimensions") (fun () ->
+      ignore (run 2 2 [ 1; 2; 3 ]))
 
 (* ------------------------------------------------------------------ *)
 
@@ -686,8 +699,9 @@ let () =
             QCheck.(pair int int)
             prop_word_mulmod_oracle;
           qtest "crt consistency" arb_pair prop_crt_consistent;
+          Alcotest.test_case "prime ladder" `Quick test_prime_ladder;
+          Alcotest.test_case "word elimination" `Quick test_word_elim;
           Alcotest.test_case "rem_int edges" `Quick test_rem_int_edges;
-          Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
           qtest "rem_int vs erem"
             QCheck.(pair arb_bigint int)
             prop_rem_int ] ) ]

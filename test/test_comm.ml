@@ -792,6 +792,29 @@ let test_rank_gf2_vs_q () =
   Alcotest.(check int) "gf2" 2 (Rank_bound.gf2_rank m);
   Alcotest.(check int) "q" 3 (Rank_bound.rational_rank m)
 
+(* The 20x20 GF(2)-rank-6 slow board of the serve tests: rank deficient
+   over GF(2), so the word ladder must certify its rational rank past
+   the first prime. *)
+let slow_board_rows =
+  [ "10111011110100111111"; "01011000011101111110"; "11100011101001000001";
+    "01111110010011001101"; "10110110010100110100"; "11000101100111110010";
+    "10101101000000111001"; "00111010011010011011"; "00100001001110010110";
+    "10011101111010001100"; "00011011010100001101"; "01011111011101011011";
+    "01001001101001011101"; "11100100101001100100"; "11011001110011011010";
+    "00001101100000001011"; "10110110010100110100"; "00111101011010111110";
+    "01111001010011101000"; "10100111100000010111" ]
+
+let test_rational_rank_slow_board () =
+  let rows = Array.of_list slow_board_rows in
+  let m = Bm.init 20 20 (fun i j -> rows.(i).[j] = '1') in
+  let q =
+    Commx_linalg.Qmatrix.rank
+      (Commx_linalg.Qmatrix.of_int_matrix 20 20 (fun i j ->
+           Bool.to_int (Bm.get m i j)))
+  in
+  Alcotest.(check int) "gf2" 6 (Rank_bound.gf2_rank m);
+  Alcotest.(check int) "q = elimination over Q" q (Rank_bound.rational_rank m)
+
 let prop_gf2_le_q params =
   let m = mat_of params in
   Rank_bound.gf2_rank m <= Rank_bound.rational_rank m
@@ -902,4 +925,6 @@ let () =
         [ Alcotest.test_case "identity analysis" `Quick
             test_rank_bounds_identity;
           Alcotest.test_case "GF(2) vs Q gap" `Quick test_rank_gf2_vs_q;
+          Alcotest.test_case "slow board rational rank" `Quick
+            test_rational_rank_slow_board;
           qtest "gf2 <= q" arb_small_bitmat prop_gf2_le_q ] ) ]

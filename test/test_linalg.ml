@@ -136,7 +136,7 @@ let prop_bareiss_vs_field a =
 
 let prop_crt_vs_bareiss a =
   let m = zm_of a in
-  B.equal (Zm.det_crt m) (Zm.det_bareiss m)
+  B.equal (Zm.det m) (Zm.det_bareiss m)
 
 let prop_det_transpose a =
   let m = zm_of a in
@@ -169,7 +169,7 @@ let test_det_big_entries () =
         B.add (B.mul_int big ((i * 3) + j + 1)) (B.of_int (i + j)))
   in
   Alcotest.(check bi) "crt matches bareiss on huge entries"
-    (Zm.det_bareiss m) (Zm.det_crt m)
+    (Zm.det_bareiss m) (Zm.det m)
 
 (* ------------------------------------------------------------------ *)
 (* Rank / solve / nullspace / inverse                                  *)
@@ -236,9 +236,10 @@ let prop_singular_iff_det_zero a =
   let m = zm_of a in
   Zm.is_singular m = (Zm.rank m < Zm.rows m)
 
-(* The batched modular filter must agree verdict-for-verdict with the
-   exact scalar test, including on matrices engineered to be singular
-   (where the mod-p filter cannot decide and must escalate). *)
+(* The batch must agree verdict-for-verdict with the scalar test,
+   including on matrices engineered to be singular (where the first
+   prime cannot decide and the ladder runs to its Hadamard
+   certificate). *)
 let prop_singular_batch_agrees seed =
   let g = Prng.create seed in
   let ms =
@@ -254,6 +255,89 @@ let prop_singular_batch_agrees seed =
 let prop_rank_mod_p_lower a =
   let m = zm_of a in
   Zm.rank_mod_p m 1_000_003 <= Zm.rank m
+
+(* Every exact answer runs on word residues modulo a fixed prime ladder
+   and must not trust its first primes: scaling by the top ladder
+   primes makes every residue vanish there. *)
+let q_rank m = Qm.rank (Zm.to_qmatrix m)
+
+let check_exact name m =
+  Alcotest.(check int) (name ^ ": rank = Q rank") (q_rank m) (Zm.rank m);
+  if Zm.is_square m then begin
+    let d = Zm.det_bareiss m in
+    Alcotest.(check bi) (name ^ ": det = bareiss") d (Zm.det m);
+    let d', r' = Zm.det_rank m in
+    Alcotest.(check bi) (name ^ ": det_rank det") d d';
+    Alcotest.(check int) (name ^ ": det_rank rank") (q_rank m) r';
+    Alcotest.(check bool) (name ^ ": is_singular") (B.is_zero d)
+      (Zm.is_singular m)
+  end
+
+let test_ladder_scaled () =
+  let p0 = B.of_int (Commx_bigint.Primes.ladder 0) in
+  let p01 = B.mul p0 (B.of_int (Commx_bigint.Primes.ladder 1)) in
+  let z = Zm.of_int_array2 in
+  let cases =
+    [ ("p0 * 2x2", Zm.scale p0 (z [| [| 1; 2 |]; [| 3; 4 |] |]), 2);
+      ( "p0 p1 * 3x3",
+        Zm.scale p01 (z [| [| 2; 0; 1 |]; [| 1; 3; 2 |]; [| 1; 1; 2 |] |]),
+        3 );
+      ("p0 * singular", Zm.scale p0 (z [| [| 1; 2 |]; [| 2; 4 |] |]), 1);
+      ("p0 below a zero row", Zm.scale p0 (z [| [| 0; 0 |]; [| 1; 0 |] |]), 1);
+      ( "p0 p1 * 2x3",
+        Zm.scale p01 (z [| [| 1; 0; 5 |]; [| 0; 0; 7 |] |]),
+        2 ) ]
+  in
+  List.iter
+    (fun (name, m, rank) ->
+      Alcotest.(check int) (name ^ ": rank") rank (Zm.rank m);
+      check_exact name m)
+    cases
+
+let test_empty_and_zero_rows () =
+  Alcotest.(check int) "0x0 rank" 0 (Zm.rank (Zm.zero 0 0));
+  Alcotest.(check bi) "0x0 det" B.one (Zm.det (Zm.zero 0 0));
+  Alcotest.(check bool) "0x0 nonsingular" false (Zm.is_singular (Zm.zero 0 0));
+  Alcotest.(check int) "0x4 rank" 0 (Zm.rank (Zm.zero 0 4));
+  Alcotest.(check int) "3x0 rank" 0 (Zm.rank (Zm.zero 3 0));
+  Alcotest.(check int) "3x3 zero rank" 0 (Zm.rank (Zm.zero 3 3));
+  Alcotest.(check bool) "3x3 zero singular" true (Zm.is_singular (Zm.zero 3 3));
+  let m = Zm.of_int_array2 [| [| 0; 0; 0 |]; [| 1; 2; 3 |]; [| 0; 0; 0 |] |] in
+  Alcotest.(check int) "zero rows rank" 1 (Zm.rank m);
+  Alcotest.(check bool) "zero rows bound >= 1" true
+    (B.compare (Zm.hadamard_bound m) B.one >= 0);
+  List.iter
+    (fun (name, m) -> check_exact name m)
+    [ ("0x0", Zm.zero 0 0); ("0x4", Zm.zero 0 4); ("3x0", Zm.zero 3 0);
+      ("3x3 zero", Zm.zero 3 3); ("zero rows", m) ]
+
+(* Residues mod 1_000_003, pinned from the functor-based GF(p)
+   elimination the word kernel replaced. *)
+let test_mod_p_pinned () =
+  let p = 1_000_003 in
+  let a =
+    Zm.of_int_fn 5 5 (fun i j ->
+        let x = (i * 7) + (j * 13) + 3 in
+        (x * x * x mod 1999) - 1000)
+  in
+  let big = B.pow (B.of_int 10) 20 in
+  let r0 = Array.init 6 (fun j -> B.add big (B.of_int ((j * j) - 7))) in
+  let r1 = Array.init 6 (fun j -> B.sub (B.of_int (3 * j)) big) in
+  let b =
+    Zm.of_rows
+      [ r0; r1; Array.map2 B.add r0 r1;
+        Array.map2 (fun x y -> B.sub (B.mul_int x 2) y) r0 r1 ]
+  in
+  let c = Zm.of_int_array2 [| [| p; 2; 3 |]; [| 4; 5 * p; 6 |]; [| 7; 8; 9 |] |] in
+  let d = Zm.of_int_array2 [| [| p; 2 * p |]; [| 3; 4 |] |] in
+  Alcotest.(check int) "det A" 706044 (Zm.det_mod_p a p);
+  Alcotest.(check int) "rank A" 5 (Zm.rank_mod_p a p);
+  Alcotest.(check int) "rank B" 2 (Zm.rank_mod_p b p);
+  Alcotest.(check int) "det C" 108 (Zm.det_mod_p c p);
+  Alcotest.(check int) "rank C" 3 (Zm.rank_mod_p c p);
+  Alcotest.(check int) "det D" 0 (Zm.det_mod_p d p);
+  Alcotest.(check int) "rank D" 1 (Zm.rank_mod_p d p);
+  Alcotest.(check int) "rank D over Q" 2 (Zm.rank d)
 
 let test_solve_known () =
   (* x + y = 3, x - y = 1  =>  x = 2, y = 1 *)
@@ -682,7 +766,11 @@ let () =
           qtest "inverse" arb_square prop_inverse;
           qtest "singular iff rank deficient" arb_square
             prop_singular_iff_det_zero;
-          qtest "rank mod p lower bound" arb_square prop_rank_mod_p_lower ] );
+          qtest "rank mod p lower bound" arb_square prop_rank_mod_p_lower;
+          Alcotest.test_case "ladder-prime scaled" `Quick test_ladder_scaled;
+          Alcotest.test_case "empty and zero rows" `Quick
+            test_empty_and_zero_rows;
+          Alcotest.test_case "mod p pinned" `Quick test_mod_p_pinned ] );
       ( "lup",
         [ Alcotest.test_case "permutation sign" `Quick test_permutation_sign;
           Alcotest.test_case "singular input" `Quick test_lup_singular;
