@@ -108,10 +108,7 @@ let answer_in_process ~table ~tags payload =
       Printf.sprintf "singular=%b" (Zm.singular_batch [| m |]).(0)
   | P_lower m ->
       let nr = Bm.rows m and nc = Bm.cols m in
-      let tm =
-        Truth_matrix.build (List.init nr Fun.id) (List.init nc Fun.id)
-          (fun i j -> Bm.get m i j)
-      in
+      let tm = Truth_matrix.of_bitmat m in
       let r = Rank_bound.analyze tm ~exact_rect:(nr * nc <= 64) in
       Printf.sprintf "gf2=%d,rat=%d,fool=%d" r.Rank_bound.gf2
         r.Rank_bound.rational r.Rank_bound.fooling

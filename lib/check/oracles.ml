@@ -2,6 +2,10 @@ module Bitvec = Commx_util.Bitvec
 module Bitmat = Commx_util.Bitmat
 module B = Commx_bigint.Bigint
 module Zm = Commx_linalg.Zmatrix
+module Prng = Commx_util.Prng
+module Tm = Commx_comm.Truth_matrix
+module Rectangle = Commx_comm.Rectangle
+module Rank_bound = Commx_comm.Rank_bound
 
 let popcount_int_naive x =
   if x < 0 then invalid_arg "Oracles.popcount_int_naive: negative";
@@ -60,6 +64,113 @@ let board_rank_q m =
   Commx_linalg.Qmatrix.rank
     (Commx_linalg.Qmatrix.of_int_matrix (Bitmat.rows m) (Bitmat.cols m)
        (fun i j -> Bool.to_int (Bitmat.get m i j)))
+
+(* The list-based lower-bound kernels the word kernels of
+   [Commx_comm.Fooling] and [Commx_comm.Rectangle] replaced: a cell is
+   checked against every chosen pair through [Truth_matrix.get], and
+   every row subset is a fresh list from [Combi.iter_subsets]. *)
+let fooling_compatible tm chosen (i, j) =
+  Tm.get tm i j
+  && List.for_all
+       (fun (i', j') -> (not (Tm.get tm i j')) || not (Tm.get tm i' j))
+       chosen
+
+let fooling_greedy tm =
+  let chosen = ref [] in
+  for i = 0 to Tm.rows tm - 1 do
+    for j = 0 to Tm.cols tm - 1 do
+      if fooling_compatible tm !chosen (i, j) then chosen := (i, j) :: !chosen
+    done
+  done;
+  List.rev !chosen
+
+let fooling_greedy_randomized g ?(restarts = 16) tm =
+  let nr = Tm.rows tm and nc = Tm.cols tm in
+  let all = Array.init (nr * nc) (fun x -> (x / nc, x mod nc)) in
+  let best = ref (fooling_greedy tm) in
+  for _ = 1 to restarts do
+    Prng.shuffle g all;
+    let chosen = ref [] in
+    Array.iter
+      (fun p -> if fooling_compatible tm !chosen p then chosen := p :: !chosen)
+      all;
+    if List.length !chosen > List.length !best then best := !chosen
+  done;
+  !best
+
+let cell_transpose m =
+  Bitmat.init (Bitmat.cols m) (Bitmat.rows m) (fun i j -> Bitmat.get m j i)
+
+let cell_complement m =
+  Bitmat.init (Bitmat.rows m) (Bitmat.cols m) (fun i j -> not (Bitmat.get m i j))
+
+let max_one_rectangle_exact ?(min_rows = 1) m =
+  let transposed = min_rows <= 1 && Bitmat.rows m > Bitmat.cols m in
+  let work = if transposed then cell_transpose m else m in
+  let nr = Bitmat.rows work in
+  let best = ref { Rectangle.row_set = [||]; col_set = [||] } in
+  let best_area = ref 0 in
+  let row_bits = Array.init nr (fun i -> Bitmat.row work i) in
+  Commx_util.Combi.iter_subsets nr (fun subset ->
+      let rows_sel = Array.of_list subset in
+      let k = Array.length rows_sel in
+      if k >= min_rows && k > 0 then begin
+        let inter = Bitvec.copy row_bits.(rows_sel.(0)) in
+        Array.iter (fun i -> Bitvec.and_into inter row_bits.(i)) rows_sel;
+        let ncols = Bitvec.popcount inter in
+        if k * ncols > !best_area then begin
+          best_area := k * ncols;
+          let cols_sel =
+            Array.of_list
+              (List.rev (Bitvec.fold_set_bits (fun j acc -> j :: acc) inter []))
+          in
+          best := { Rectangle.row_set = rows_sel; col_set = cols_sel }
+        end
+      end);
+  if transposed then
+    { Rectangle.row_set = !best.Rectangle.col_set; col_set = !best.row_set }
+  else !best
+
+let max_zero_rectangle_exact ?min_rows m =
+  max_one_rectangle_exact ?min_rows (cell_complement m)
+
+let cover_lower_bound m ~exact =
+  let ones = count_ones_naive m in
+  let zeros = (Bitmat.rows m * Bitmat.cols m) - ones in
+  let one_rect, zero_rect =
+    if exact then (max_one_rectangle_exact m, max_zero_rectangle_exact m)
+    else begin
+      let g = Prng.create 42 in
+      let zero = Rectangle.max_one_rectangle_greedy g (cell_complement m) in
+      (Rectangle.max_one_rectangle_greedy g m, zero)
+    end
+  in
+  let parts_for count rect =
+    if count = 0 then 0.0
+    else if Rectangle.area rect = 0 then infinity
+    else float_of_int count /. float_of_int (Rectangle.area rect)
+  in
+  let total = parts_for ones one_rect +. parts_for zeros zero_rect in
+  if total <= 0.0 then 0.0 else log total /. log 2.0
+
+let lower_bounds_report tm ~exact_rect =
+  let m = Tm.to_bitmat tm in
+  let fooling_set = fooling_greedy_randomized (Prng.create 1234) tm in
+  let rational = Rank_bound.rational_rank m in
+  let nr = Bitmat.rows m and nc = Bitmat.cols m in
+  {
+    Rank_bound.n_rows = nr;
+    n_cols = nc;
+    ones = count_ones_naive m;
+    gf2 = Rank_bound.gf2_rank m;
+    rational;
+    log_rank =
+      (if rational <= 0 then 0.0 else log (float_of_int rational) /. log 2.0);
+    fooling = List.length fooling_set;
+    fooling_bits = Commx_comm.Fooling.lower_bound_bits fooling_set;
+    cover_bits = cover_lower_bound m ~exact:exact_rect;
+    trivial_upper = log (float_of_int (max 1 (min nr nc))) /. log 2.0;
+  }
 
 module Table_model = struct
   type t = (int, int) Hashtbl.t

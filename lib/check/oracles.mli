@@ -30,6 +30,47 @@ val board_rank_q : Commx_util.Bitmat.t -> int
     — the oracle for {!Commx_comm.Rank_bound.rational_rank}, which
     runs on word primes instead. *)
 
+(** {2 Lower-bound kernels}
+
+    The list-based fooling-set and max-rectangle kernels that
+    {!Commx_comm.Fooling} and {!Commx_comm.Rectangle} replaced with
+    word kernels.  Same contracts, so the answers must be equal, list
+    order and tie rule included. *)
+
+val fooling_greedy : ('a, 'b) Commx_comm.Truth_matrix.t -> Commx_comm.Fooling.t
+(** Row-major greedy: each one-cell is checked against every chosen
+    pair with [Truth_matrix.get]; acceptance order. *)
+
+val fooling_greedy_randomized :
+  Commx_util.Prng.t ->
+  ?restarts:int ->
+  ('a, 'b) Commx_comm.Truth_matrix.t ->
+  Commx_comm.Fooling.t
+(** {!fooling_greedy}, then [restarts] (default 16) passes over a
+    cell-tuple array shuffled in place; a strictly larger pass wins, in
+    reverse acceptance order. *)
+
+val max_one_rectangle_exact :
+  ?min_rows:int -> Commx_util.Bitmat.t -> Commx_comm.Rectangle.rect
+(** Every row subset of the smaller side as a fresh list from
+    [Combi.iter_subsets] (so at most 20 rows), its column intersection
+    rebuilt from scratch; the first strict maximum in ascending-mask
+    order. *)
+
+val max_zero_rectangle_exact :
+  ?min_rows:int -> Commx_util.Bitmat.t -> Commx_comm.Rectangle.rect
+
+val cover_lower_bound : Commx_util.Bitmat.t -> exact:bool -> float
+(** {!Commx_comm.Rectangle.cover_lower_bound} over the rectangles above
+    (the greedy ones when [~exact:false]) and a per-cell complement. *)
+
+val lower_bounds_report :
+  ('a, 'b) Commx_comm.Truth_matrix.t ->
+  exact_rect:bool ->
+  Commx_comm.Rank_bound.report
+(** {!Commx_comm.Rank_bound.analyze} with the fooling set and the cover
+    bound above (the ranks are the library's). *)
+
 (** Association model of {!Commx_util.Txtable}: last write wins, no
     capacity, no eviction.  An unbudgeted table must agree exactly; a
     budgeted table must be {e fail-soft} against it (absent or equal,

@@ -10,6 +10,10 @@ module B = Commx_bigint.Bigint
 module Mod = Commx_bigint.Modarith
 module Zm = Commx_linalg.Zmatrix
 module Exact_cc = Commx_comm.Exact_cc
+module Tm = Commx_comm.Truth_matrix
+module Fooling = Commx_comm.Fooling
+module Rectangle = Commx_comm.Rectangle
+module Rank_bound = Commx_comm.Rank_bound
 module Params = Commx_core.Params
 module H = Commx_core.Hard_instance
 module L32 = Commx_core.Lemma32
@@ -30,7 +34,7 @@ let show_int_pair (a, b) = Printf.sprintf "(%d, %d)" a b
 let show_bigint_pair (a, b) =
   Printf.sprintf "(%s, %s)" (B.to_string a) (B.to_string b)
 
-let show_bitmat m = Format.asprintf "%a" Bitmat.pp m
+let show_bitmat m = Format.asprintf "@[<v>%a@]" Bitmat.pp m
 
 (* ------------------------------------------------------------------ *)
 (* Bigint vs. native ints and algebraic laws                           *)
@@ -486,6 +490,77 @@ let exact_cc_lb_portfolio_sound =
         (List.map
            (fun (name, bound) -> (name ^ "<=cc", fun () -> bound <= cc))
            (Exact_cc.lower_bound_portfolio m)))
+
+(* ------------------------------------------------------------------ *)
+(* Lower-bound word kernels vs. the list-based ones                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Boards 0x0..12x12 at a random density, all-zero and all-one ones,
+   and boards past one row word (3x70, 70x3), each with a seed for the
+   randomized greedy (it restarts 1 + seed mod 20 times, so a seed
+   shrunk to 0 still restarts). *)
+let gen_lower_bounds_case g =
+  let r = Prng.int_incl g 0 12 and c = Prng.int_incl g 0 12 in
+  let m =
+    match Prng.int g 8 with
+    | 0 -> Bitmat.create r c
+    | 1 -> Bitmat.complement (Bitmat.create r c)
+    | 2 ->
+        let wide = Bitvec.bits_per_word + 8 in
+        if Prng.bool g then Bitmat.random g 3 wide else Bitmat.random g wide 3
+    | _ ->
+        let p = Prng.int_incl g 5 95 in
+        Bitmat.init r c (fun _ _ -> Prng.int g 100 < p)
+  in
+  (m, Prng.int g 1_000_000)
+
+let lower_bounds_words_vs_lists =
+  Property.make ~name:"lower_bounds.words_vs_lists" ~gen:gen_lower_bounds_case
+    ~shrink:(Shrink.pair Shrink.bitmat Shrink.int)
+    ~show:(fun (m, seed) -> Printf.sprintf "seed=%d\n%s" seed (show_bitmat m))
+    (fun (m, seed) ->
+      let tm = Tm.of_bitmat m in
+      let restarts = 1 + (abs seed mod 20) in
+      (* Past 20 enumerated rows both sides must refuse. *)
+      let rect f ~min_rows =
+        match f ?min_rows:(Some min_rows) m with
+        | r -> Some r
+        | exception Invalid_argument _ -> None
+      in
+      let rects_agree f oracle =
+        List.for_all
+          (fun min_rows -> rect f ~min_rows = rect oracle ~min_rows)
+          [ 1; 2; 3 ]
+      in
+      all_of
+        [ ("greedy", fun () -> Fooling.greedy tm = Oracles.fooling_greedy tm);
+          ( "greedy_randomized",
+            fun () ->
+              Fooling.greedy_randomized (Prng.create seed) ~restarts tm
+              = Oracles.fooling_greedy_randomized (Prng.create seed) ~restarts
+                  tm );
+          ( "max_one_rectangle_exact",
+            fun () ->
+              rects_agree Rectangle.max_one_rectangle_exact
+                Oracles.max_one_rectangle_exact );
+          ( "max_zero_rectangle_exact",
+            fun () ->
+              rects_agree Rectangle.max_zero_rectangle_exact
+                Oracles.max_zero_rectangle_exact );
+          ( "cover_lower_bound",
+            fun () ->
+              List.for_all
+                (fun exact ->
+                  Rectangle.cover_lower_bound m ~exact
+                  = Oracles.cover_lower_bound m ~exact)
+                [ true; false ] );
+          ( "analyze",
+            fun () ->
+              List.for_all
+                (fun exact_rect ->
+                  Rank_bound.analyze tm ~exact_rect
+                  = Oracles.lower_bounds_report tm ~exact_rect)
+                [ true; false ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* Zmatrix determinants vs. cofactor expansion                         *)
@@ -1099,6 +1174,7 @@ let all () =
     exact_cc_fail_soft;
     exact_cc_sandwiched;
     exact_cc_lb_portfolio_sound;
+    lower_bounds_words_vs_lists;
     zmatrix_det_agreement;
     zmatrix_singular_batch;
     zmatrix_exact_vs_rational;

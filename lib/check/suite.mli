@@ -14,6 +14,10 @@
     - [exact_cc.*] — the optimized search vs. the reference enumerator,
       the certified lower/upper bound sandwich, and the packed-hex
       content key vs. the old text key (same alias classes);
+    - [lower_bounds.*] — the word-level greedy fooling set, exact
+      max rectangles, cover bound and whole {!Commx_comm.Rank_bound}
+      report vs. the list-based kernels they replaced (equal lists,
+      equal rectangles under the same tie rule);
     - [zmatrix.*] — Bareiss and CRT determinants vs. cofactor
       expansion, rank/determinant consistency, the Hadamard bound, and
       the word-prime rank, det, det_rank and singularity (and the 0/1

@@ -386,15 +386,7 @@ and eval_split ctx best r0 c0 r1 c1 =
 let rank_fooling_lower m =
   let r1 = Rank_bound.gf2_rank m in
   let r0 = Rank_bound.gf2_rank (Bm.complement m) in
-  let fool =
-    let tm =
-      Truth_matrix.build
-        (List.init (Bm.rows m) Fun.id)
-        (List.init (Bm.cols m) Fun.id)
-        (fun i j -> Bm.get m i j)
-    in
-    List.length (Fooling.greedy tm)
-  in
+  let fool = List.length (Fooling.greedy (Truth_matrix.of_bitmat m)) in
   ceil_log2 (max r1 fool + r0)
 
 (* Mehlhorn–Schmidt over ℚ, both colors: the 1-leaves sum to M as

@@ -1,3 +1,6 @@
+module Bm = Commx_util.Bitmat
+module Bv = Commx_util.Bitvec
+
 type t = (int * int) list
 
 let is_fooling_set tm s =
@@ -13,33 +16,81 @@ let is_fooling_set tm s =
   in
   pairs s
 
-let compatible tm chosen (i, j) =
-  Truth_matrix.get tm i j
-  && List.for_all
-       (fun (i', j') ->
-         (not (Truth_matrix.get tm i j')) || not (Truth_matrix.get tm i' j))
-       chosen
+(* Greedy passes on row words.  Choosing (i', j') rules out exactly the
+   later cells (i, j) with M[i][j'] = M[i'][j] = 1, so it ORs row i'
+   into the [blocked] row of every row i with a one in column j'; a
+   cell is accepted iff it is a one and not blocked.  Rows and blocked
+   rows are [Bitmat.to_words] arrays, any width.  Cells are indices
+   [i * cols + j]; [picked] holds the accepted ones in order. *)
+type scan = {
+  nr : int;
+  nc : int;
+  w : int;
+  rows : int array;
+  blocked : int array;
+  picked : int array;
+}
+
+let bpw = Bv.bits_per_word
+
+let scan_of tm =
+  let m = tm.Truth_matrix.values in
+  let nr = Bm.rows m and nc = Bm.cols m in
+  let rows = Bm.to_words m in
+  { nr; nc; w = Bv.words_for nc; rows;
+    blocked = Array.make (Array.length rows) 0;
+    picked = Array.make (nr * nc) 0 }
+
+(* One pass over the cells in [order]; returns how many it accepted. *)
+let pass s order =
+  Array.fill s.blocked 0 (Array.length s.blocked) 0;
+  let count = ref 0 in
+  for x = 0 to Array.length order - 1 do
+    let c = order.(x) in
+    let i = c / s.nc and j = c mod s.nc in
+    let jw = j / bpw and o = j mod bpw in
+    let k = (i * s.w) + jw in
+    if (s.rows.(k) land lnot s.blocked.(k)) lsr o land 1 = 1 then begin
+      s.picked.(!count) <- c;
+      incr count;
+      for r = 0 to s.nr - 1 do
+        if s.rows.((r * s.w) + jw) lsr o land 1 = 1 then
+          for t = 0 to s.w - 1 do
+            let b = (r * s.w) + t in
+            s.blocked.(b) <- s.blocked.(b) lor s.rows.((i * s.w) + t)
+          done
+      done
+    end
+  done;
+  !count
+
+let cell s x = (s.picked.(x) / s.nc, s.picked.(x) mod s.nc)
+
+let in_order s n = List.init n (cell s)
+
+let reversed s n =
+  let acc = ref [] in
+  for x = 0 to n - 1 do
+    acc := cell s x :: !acc
+  done;
+  !acc
 
 let greedy tm =
-  let chosen = ref [] in
-  for i = 0 to Truth_matrix.rows tm - 1 do
-    for j = 0 to Truth_matrix.cols tm - 1 do
-      if compatible tm !chosen (i, j) then chosen := (i, j) :: !chosen
-    done
-  done;
-  List.rev !chosen
+  let s = scan_of tm in
+  in_order s (pass s (Array.init (s.nr * s.nc) Fun.id))
 
 let greedy_randomized g ?(restarts = 16) tm =
-  let nr = Truth_matrix.rows tm and nc = Truth_matrix.cols tm in
-  let all = Array.init (nr * nc) (fun x -> (x / nc, x mod nc)) in
-  let best = ref (greedy tm) in
+  let s = scan_of tm in
+  let cells = Array.init (s.nr * s.nc) Fun.id in
+  let n = pass s cells in
+  let best = ref (in_order s n) and best_n = ref n in
   for _ = 1 to restarts do
-    Commx_util.Prng.shuffle g all;
-    let chosen = ref [] in
-    Array.iter
-      (fun p -> if compatible tm !chosen p then chosen := p :: !chosen)
-      all;
-    if List.length !chosen > List.length !best then best := !chosen
+    Commx_util.Prng.shuffle g cells;
+    let n = pass s cells in
+    if n > !best_n then begin
+      best := reversed s n;
+      best_n := n
+    end
   done;
   !best
 

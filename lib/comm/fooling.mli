@@ -17,11 +17,22 @@ val is_fooling_set : ('a, 'b) Truth_matrix.t -> t -> bool
 
 val greedy : ('a, 'b) Truth_matrix.t -> t
 (** Deterministic greedy construction scanning ones in row-major
-    order; always valid, not necessarily maximal. *)
+    order; always valid, not necessarily maximal.  Returned in
+    acceptance order.  Cost: one pass over the cells on row words —
+    a cell is accepted iff it is a one and not in its row's blocked
+    mask, and each acceptance ORs one row into the blocked mask of
+    every row with a one in its column (O(rows * row words) per
+    accepted cell), at any width. *)
 
 val greedy_randomized :
   Commx_util.Prng.t -> ?restarts:int -> ('a, 'b) Truth_matrix.t -> t
-(** Best of several randomized greedy passes. *)
+(** Best of {!greedy} and [restarts] (default 16) greedy passes over
+    the cells in a random order: one cell array, shuffled in place
+    before each pass ({!Commx_util.Prng.shuffle}, so the stream is a
+    function of [g] and the shape).  Only a strictly larger pass
+    replaces the best, and a pass that wins is returned in reverse
+    acceptance order.  Same cost per pass as {!greedy}, and no list is
+    built for a pass that does not win. *)
 
 val diagonal_candidate : ('a, 'b) Truth_matrix.t -> t
 (** The diagonal \{(i, i)\} filtered to one entries — the natural

@@ -32,46 +32,75 @@ let count_ones_rectangle_rows m rows_sel =
   done;
   Array.of_list !acc
 
+let ascending v =
+  Array.of_list (List.rev (Bv.fold_set_bits (fun j acc -> j :: acc) v []))
+
+(* One cap for the row enumeration: 2^20 subsets. *)
+let max_enum_rows = 20
+
 (* Enumerate over subsets of the smaller dimension: for a row subset S,
    the best rectangle with that row set uses all columns that are ones
-   on every row of S. *)
+   on every row of S.  A depth-first walk over ascending row lists keeps
+   the column intersection of the path in [stack], one AND per subset,
+   and skips a subtree once (path rows + rows left) * (columns left)
+   falls below the best area.  Ties go to the smallest row mask: the
+   first strict maximum of an ascending-mask scan. *)
 let max_one_rectangle_exact ?(min_rows = 1) m =
   (* The transpose speed-up enumerates the smaller dimension, but a
      min_rows constraint refers to the original rows, so it disables
      the swap. *)
   let transposed = min_rows <= 1 && Bm.rows m > Bm.cols m in
   let work = if transposed then Bm.transpose m else m in
-  let nr = Bm.rows work in
-  if nr > 22 then
+  let nr = Bm.rows work and nc = Bm.cols work in
+  if nr > max_enum_rows then
     invalid_arg "Rectangle.max_one_rectangle_exact: dimension too large";
   Tel.add candidates_counter (1 lsl nr);
-  let best = ref { row_set = [||]; col_set = [||] } in
-  let best_area = ref 0 in
-  (* Row bitsets as Bitvecs for fast intersection. *)
-  let row_bits = Array.init nr (fun i -> Bm.row work i) in
-  Commx_util.Combi.iter_subsets nr (fun subset ->
-      let rows_sel = Array.of_list subset in
-      let k = Array.length rows_sel in
-      if k >= min_rows && k > 0 then begin
-        let inter = Bv.copy row_bits.(rows_sel.(0)) in
-        Array.iter (fun i -> if i <> rows_sel.(0) then Bv.and_into inter row_bits.(i)) rows_sel;
-        let ncols = Bv.popcount inter in
-        if k * ncols > !best_area then begin
-          best_area := k * ncols;
-          let cols_sel =
-            Array.of_list (List.rev (Bv.fold_set_bits (fun j acc -> j :: acc) inter []))
-          in
-          best := { row_set = rows_sel; col_set = cols_sel }
-        end
-      end);
-  if transposed then
-    { row_set = !best.col_set; col_set = !best.row_set }
-  else !best
-
-let complement m = Bm.init (Bm.rows m) (Bm.cols m) (fun i j -> not (Bm.get m i j))
+  let w = Bv.words_for nc in
+  let rows = Bm.to_words work in
+  (* [stack.(d * w ..)]: columns common to the first [d] path rows. *)
+  let stack = Array.make ((nr + 1) * w) 0 in
+  Bv.blit_words (Bv.lognot (Bv.create nc)) stack 0;
+  let best_area = ref 0 and best_mask = ref 0 in
+  let rec visit d first mask =
+    for i = first to nr - 1 do
+      let ncols = ref 0 in
+      for t = 0 to w - 1 do
+        let x = stack.((d * w) + t) land rows.((i * w) + t) in
+        stack.(((d + 1) * w) + t) <- x;
+        ncols := !ncols + Bv.popcount_int x
+      done;
+      let k = d + 1 and mask = mask lor (1 lsl i) in
+      let area = k * !ncols in
+      if k >= min_rows && area > 0
+         && (area > !best_area || (area = !best_area && mask < !best_mask))
+      then begin
+        best_area := area;
+        best_mask := mask
+      end;
+      if !ncols > 0 && (k + nr - 1 - i) * !ncols >= !best_area then
+        visit (d + 1) (i + 1) mask
+    done
+  in
+  visit 0 0 0;
+  let best =
+    if !best_area = 0 then { row_set = [||]; col_set = [||] }
+    else begin
+      let row_set = ascending (Bv.of_int nr !best_mask) in
+      let inter = Array.sub stack 0 w in
+      Array.iter
+        (fun i ->
+          for t = 0 to w - 1 do
+            inter.(t) <- inter.(t) land rows.((i * w) + t)
+          done)
+        row_set;
+      { row_set; col_set = ascending (Bv.of_words nc inter 0) }
+    end
+  in
+  if transposed then { row_set = best.col_set; col_set = best.row_set }
+  else best
 
 let max_zero_rectangle_exact ?min_rows m =
-  max_one_rectangle_exact ?min_rows (complement m)
+  max_one_rectangle_exact ?min_rows (Bm.complement m)
 
 let max_one_rectangle_greedy g ?(restarts = 32) m =
   let nr = Bm.rows m and nc = Bm.cols m in
@@ -124,10 +153,11 @@ let cover_lower_bound m ~exact =
     if exact then
       (max_one_rectangle_exact m, max_zero_rectangle_exact m)
     else begin
+      (* The zero rectangle draws first: the order in which the
+         answers have always been computed. *)
       let g = Prng.create 42 in
-      ( max_one_rectangle_greedy g m,
-        let r = max_one_rectangle_greedy g (complement m) in
-        r )
+      let zero = max_one_rectangle_greedy g (Bm.complement m) in
+      (max_one_rectangle_greedy g m, zero)
     end
   in
   let parts_for count rect =

@@ -20,8 +20,16 @@ val is_monochromatic : Commx_util.Bitmat.t -> rect -> bool option
 
 val max_one_rectangle_exact : ?min_rows:int -> Commx_util.Bitmat.t -> rect
 (** Largest-area all-ones rectangle with at least [min_rows] rows
-    (default 1), by enumerating subsets of the smaller dimension.
-    @raise Invalid_argument when the smaller dimension exceeds 22. *)
+    (default 1), by enumerating subsets of the smaller dimension (of
+    the rows when [min_rows > 1]).  Ties go to the row subset with the
+    smallest mask (bit [i] = row [i] of the enumerated side): the first
+    strict maximum in ascending-mask order.  [row_set] and [col_set]
+    are ascending; no ones gives the empty rectangle.  Cost: at most
+    2^rows subsets, each one AND of a row's words into its parent's
+    intersection, walked depth first with a bound that skips subtrees
+    unable to reach the best area.
+    @raise Invalid_argument when more than 20 rows would be
+    enumerated. *)
 
 val max_one_rectangle_greedy :
   Commx_util.Prng.t -> ?restarts:int -> Commx_util.Bitmat.t -> rect
@@ -29,7 +37,8 @@ val max_one_rectangle_greedy :
     local improvement); a lower bound witness on the true maximum. *)
 
 val max_zero_rectangle_exact : ?min_rows:int -> Commx_util.Bitmat.t -> rect
-(** Same, for all-zeros rectangles (complement trick). *)
+(** Same, for all-zeros rectangles: {!max_one_rectangle_exact} of
+    {!Commx_util.Bitmat.complement}. *)
 
 val cover_lower_bound : Commx_util.Bitmat.t -> exact:bool -> float
 (** log2 of the rectangle-partition lower bound

@@ -10,17 +10,26 @@ type ('a, 'b) t = {
 let built_counter = Tel.counter "truth_matrix.built"
 let cells_counter = Tel.counter "truth_matrix.cells"
 
-let build xs ys f =
-  let row_args = Array.of_list xs and col_args = Array.of_list ys in
+let count_built nr nc =
   if Tel.metrics_on () then begin
     Tel.incr built_counter;
-    Tel.add cells_counter (Array.length row_args * Array.length col_args)
-  end;
+    Tel.add cells_counter (nr * nc)
+  end
+
+let build xs ys f =
+  let row_args = Array.of_list xs and col_args = Array.of_list ys in
+  count_built (Array.length row_args) (Array.length col_args);
   let values =
     Bm.init (Array.length row_args) (Array.length col_args) (fun i j ->
         f row_args.(i) col_args.(j))
   in
   { row_args; col_args; values }
+
+let of_bitmat m =
+  let nr = Bm.rows m and nc = Bm.cols m in
+  count_built nr nc;
+  { row_args = Array.init nr Fun.id; col_args = Array.init nc Fun.id;
+    values = Bm.copy m }
 
 let rows t = Array.length t.row_args
 let cols t = Array.length t.col_args

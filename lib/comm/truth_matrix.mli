@@ -15,6 +15,12 @@ type ('a, 'b) t = {
 
 val build : 'a list -> 'b list -> ('a -> 'b -> bool) -> ('a, 'b) t
 
+val of_bitmat : Commx_util.Bitmat.t -> (int, int) t
+(** The board itself as a truth matrix, labelled by row and column
+    index: [build] over [0 .. rows-1] and [0 .. cols-1] with
+    [Bitmat.get], as a word copy (and the same [truth_matrix.*]
+    counters). *)
+
 val rows : ('a, 'b) t -> int
 val cols : ('a, 'b) t -> int
 

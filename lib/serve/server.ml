@@ -376,10 +376,7 @@ let exec w (env : Wire.envelope) ~tag ~cancel =
         [] )
   | Wire.Lower_bounds { matrix } ->
       let nr = Bm.rows matrix and nc = Bm.cols matrix in
-      let tm =
-        Truth_matrix.build (List.init nr Fun.id) (List.init nc Fun.id)
-          (fun i j -> Bm.get matrix i j)
-      in
+      let tm = Truth_matrix.of_bitmat matrix in
       (* The exact rectangle-cover bound enumerates covers; keep it to
          boards small enough that it cannot stall a worker. *)
       let r = Rank_bound.analyze tm ~exact_rect:(nr * nc <= 64) in

@@ -45,6 +45,12 @@ let of_packed_rows nrows ncols words =
   { nrows; ncols;
     data = Array.init nrows (fun i -> Bitvec.of_words ncols words (i * w)) }
 
+let to_words m =
+  let w = Bitvec.words_for m.ncols in
+  let words = Array.make (m.nrows * w) 0 in
+  Array.iteri (fun i r -> Bitvec.blit_words r words (i * w)) m.data;
+  words
+
 let key m =
   let dims = string_of_int m.nrows ^ "x" ^ string_of_int m.ncols ^ ":" in
   let width = Bitvec.hex_digits m.ncols and d = String.length dims in
@@ -53,7 +59,12 @@ let key m =
   Array.iteri (fun i r -> Bitvec.blit_hex r b (d + (i * width))) m.data;
   Bytes.unsafe_to_string b
 
-let transpose m = init m.ncols m.nrows (fun i j -> get m j i)
+let transpose m =
+  let t = create m.ncols m.nrows in
+  Array.iteri
+    (fun i r -> Bitvec.fold_set_bits (fun j () -> Bitvec.set t.data.(j) i true) r ())
+    m.data;
+  t
 
 let mul a b =
   if a.ncols <> b.nrows then invalid_arg "Bitmat.mul: dimension mismatch";
@@ -157,7 +168,7 @@ let submatrix m rs cs =
 
 let random g nrows ncols = init nrows ncols (fun _ _ -> Prng.bool g)
 
-let complement m = init m.nrows m.ncols (fun i j -> not (get m i j))
+let complement m = { m with data = Array.map Bitvec.lognot m.data }
 
 (* Packed-word extraction: the exact-CC search works on (row set,
    column set) masks and needs each line of the matrix as one native

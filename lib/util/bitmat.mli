@@ -36,6 +36,11 @@ val of_packed_rows : int -> int -> int array -> t
     [words] can be a reused scratch buffer.
     @raise Invalid_argument as {!Bitvec.of_words}. *)
 
+val to_words : t -> int array
+(** The inverse of {!of_packed_rows}: every row's storage words, row
+    [i] from index [i * Bitvec.words_for (cols m)].  A fresh array, so
+    word kernels can read whole rows at any width. *)
+
 val key : t -> string
 (** Content address: ["<rows>x<cols>:"] then every row in
     {!Bitvec.blit_hex} form, with no separator (the width is fixed by
@@ -76,7 +81,8 @@ val submatrix : t -> int array -> int array -> t
 val random : Prng.t -> int -> int -> t
 
 val complement : t -> t
-(** Entrywise boolean negation (the truth matrix of [not f]). *)
+(** Entrywise boolean negation (the truth matrix of [not f]): each row
+    word XORed with its column mask. *)
 
 (** {2 Packed-word kernels}
 

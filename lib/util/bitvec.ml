@@ -66,6 +66,15 @@ let or_into dst src = binop_into ( lor ) dst src
 
 let is_zero v = Array.for_all (fun w -> w = 0) v.words
 
+(* Bits [0, bits) of word [k]: every word is full but the last. *)
+let word_mask len k =
+  let bits = min bits_per_word (len - (k * bits_per_word)) in
+  (1 lsl bits) - 1
+
+let lognot v =
+  { len = v.len;
+    words = Array.mapi (fun k w -> w lxor word_mask v.len k) v.words }
+
 let fold_set_bits f v init =
   let acc = ref init in
   for w = 0 to Array.length v.words - 1 do
@@ -130,6 +139,11 @@ let of_words len src pos =
     if words.(k) lsr bits <> 0 then invalid_arg "Bitvec.of_words: bit past the end"
   done;
   { len; words }
+
+let blit_words v dst pos =
+  if pos < 0 || pos + Array.length v.words > Array.length dst then
+    invalid_arg "Bitvec.blit_words";
+  Array.blit v.words 0 dst pos (Array.length v.words)
 
 (* Word by word, low nibble first: the same bits always give the same
    digits, and the length fixes the width. *)

@@ -49,6 +49,9 @@ val or_into : t -> t -> unit
 
 val is_zero : t -> bool
 
+val lognot : t -> t
+(** Bitwise complement within the length: one XOR per storage word. *)
+
 val fold_set_bits : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over indices of set bits, ascending. *)
 
@@ -74,6 +77,12 @@ val of_words : int -> int array -> int -> t
     [i mod bits_per_word] of word [i / bits_per_word].  Copies.
     @raise Invalid_argument when the words run past the array or set a
     bit at or past [n]. *)
+
+val blit_words : t -> int array -> int -> unit
+(** [blit_words v dst pos] writes the {!words_for}[ (length v)] storage
+    words of [v] to [dst.(pos)] onward, in {!of_words} layout (its
+    inverse).
+    @raise Invalid_argument when they run past [dst]. *)
 
 val hex_digits : int -> int
 (** Digits {!blit_hex} writes for a vector of the given length. *)

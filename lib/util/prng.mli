@@ -11,7 +11,9 @@
     agents of a protocol. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: 8 bytes, so a draw boxes nothing but a
+    [float] or [int64] result.  Every raw 64-bit draw counts once in
+    the [prng.draws] counter. *)
 
 val create : int -> t
 (** [create seed] builds a generator from an arbitrary integer seed.
@@ -42,7 +44,9 @@ val float : t -> float
 (** Uniform in [\[0, 1)], 53 bits of precision. *)
 
 val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
+(** In-place Fisher-Yates shuffle: position [i] from the top swaps with
+    [int g (i + 1)], for [i] from [length - 1] down to 1.  Adds its
+    draws to [prng.draws] once per call. *)
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.

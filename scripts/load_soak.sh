@@ -15,16 +15,21 @@
 # answers the in-process engine computed, so the wire path introduced
 # zero wrong answers.
 #
+# Agreement alone cannot catch a changed PRNG stream or kernel answer:
+# it moves both passes together.  With EXPECT_DIGEST, the shared digest
+# must also equal that recorded value.
+#
 # The stream is a pure function of (SEED, REQUESTS), so a failure
 # reproduces by re-running with the same arguments.  Defaults are
 # sized for a CI smoke (<1 min); raise REQUESTS for a nightly soak.
 #
-# usage: scripts/load_soak.sh [SEED] [REQUESTS]
+# usage: scripts/load_soak.sh [SEED] [REQUESTS] [EXPECT_DIGEST]
 
 set -euo pipefail
 
 SEED="${1:-20260809}"
 REQUESTS="${2:-150}"
+EXPECT_DIGEST="${3:-}"
 
 cd "$(dirname "$0")/.."
 CCMX=_build/default/bin/ccmx.exe
@@ -64,7 +69,8 @@ wait "$daemon" || { echo "daemon exited nonzero" >&2; exit 1; }
 daemon=""
 
 # ---------------------------------------------------------------- verify
-python3 - "$workdir/local/BENCH_load.json" "$workdir/daemon/BENCH_load.json" <<'EOF'
+python3 - "$workdir/local/BENCH_load.json" "$workdir/daemon/BENCH_load.json" \
+  "$EXPECT_DIGEST" <<'EOF'
 import json, math, sys
 
 def load(path):
@@ -106,6 +112,9 @@ local, daemon = load(sys.argv[1]), load(sys.argv[2])
 dl = check(local, "local")
 dd = check(daemon, "daemon")
 assert dl == dd, f"answer digests diverge: local {dl} != daemon {dd}"
+expect = sys.argv[3]
+assert not expect or dl == expect, \
+    f"answers digest {dl} != recorded {expect}: the answers changed"
 print(f"load soak ok: digests agree ({dl}), "
       f"local {local['fits']['qps']:.0f} qps, daemon {daemon['fits']['qps']:.0f} qps")
 EOF

@@ -234,6 +234,28 @@ let test_rect_known () =
   Alcotest.(check int) "identity zeros" 6
     (Rect.area (Rect.max_zero_rectangle_exact id))
 
+(* The exact search enumerates subsets of at most 20 rows, on either
+   side of that one cap with [Rectangle]'s own error. *)
+let test_rect_cap () =
+  let ones r c = Bm.init r c (fun _ _ -> true) in
+  let r = Rect.max_one_rectangle_exact ~min_rows:2 (ones 20 3) in
+  Alcotest.(check (array int)) "20 rows enumerated" (Array.init 20 Fun.id)
+    r.Rect.row_set;
+  Alcotest.(check int) "20x3 area" 60 (Rect.area r);
+  Alcotest.(check int) "20x20 all ones" 400
+    (Rect.area (Rect.max_one_rectangle_exact (ones 20 20)));
+  Alcotest.(check int) "20x20 identity zeros" 100
+    (Rect.area (Rect.max_zero_rectangle_exact (Bm.identity 20)));
+  Alcotest.(check int) "21x3 enumerates its 3 columns" 63
+    (Rect.area (Rect.max_one_rectangle_exact (ones 21 3)));
+  let too_large = Invalid_argument "Rectangle.max_one_rectangle_exact: dimension too large" in
+  List.iter
+    (fun (name, f) -> Alcotest.check_raises name too_large (fun () -> ignore (f ())))
+    [ ("21 rows, min_rows 2", fun () -> Rect.max_one_rectangle_exact ~min_rows:2 (ones 21 3));
+      ("21x21", fun () -> Rect.max_one_rectangle_exact (ones 21 21));
+      ("22x22", fun () -> Rect.max_one_rectangle_exact (ones 22 22));
+      ("22x22 zeros", fun () -> Rect.max_zero_rectangle_exact (Bm.identity 22)) ]
+
 let test_cover_bound_identity () =
   (* For EQ on m bits the partition bound is >= 2^m (ones alone) *)
   let m = Bm.identity 16 in
@@ -846,6 +868,7 @@ let () =
           Alcotest.test_case "restrict" `Quick test_truth_matrix_restrict ] );
       ( "rectangle",
         [ Alcotest.test_case "known maxima" `Quick test_rect_known;
+          Alcotest.test_case "one enumeration cap" `Quick test_rect_cap;
           Alcotest.test_case "identity cover bound" `Quick
             test_cover_bound_identity;
           qtest "exact = brute force" arb_small_bitmat

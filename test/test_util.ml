@@ -12,6 +12,7 @@ module Combi = Commx_util.Combi
 module Json = Commx_util.Json
 module Pool = Commx_util.Pool
 module Traffic = Commx_util.Traffic
+module Telemetry = Commx_util.Telemetry
 
 let qtest ?(count = 300) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
@@ -63,6 +64,98 @@ let prop_int_incl_in_range seed =
       let v = Prng.int_incl g lo hi in
       v >= lo && v <= hi)
     (List.init 50 (fun i -> i))
+
+(* The SplitMix64 stream, pinned: every draw kind in one sequence per
+   seed, rendered as text.  The expected lines were recorded before the
+   state moved from an [int64] field to raw bytes; any change to the
+   stream, the rejection rule or the shuffle order changes them.
+   [int] at 2^61 + 12345 rejects about half its raw draws. *)
+let prng_pin_line seed =
+  let g = Prng.create seed in
+  let ints =
+    List.map
+      (fun b -> string_of_int (Prng.int g b))
+      [ 1; 2; 7; 64; (1 lsl 61) + 12345 ]
+  in
+  let b = Prng.bool g in
+  let f = Prng.float g in
+  let w = Prng.bits64 g in
+  let child = Prng.split g in
+  let cw = Prng.bits64 child in
+  let pw = Prng.bits64 g in
+  let ii = Prng.int_incl g (-5) 5 in
+  let a = Array.init 97 Fun.id in
+  Prng.shuffle g a;
+  let h = Array.fold_left (fun h x -> ((h * 31) + x) land 0xFFFFFFFFFFFF) 0 a in
+  let s = Prng.sample_without_replacement g 10 25 in
+  let ints_s a = String.concat "," (List.map string_of_int (Array.to_list a)) in
+  Printf.sprintf
+    "int=%s bool=%b float=%h bits64=%Lx split=%Lx,%Lx incl=%d \
+     shuffle=%s..#%x sample=%s"
+    (String.concat "," ints) b f w cw pw ii
+    (ints_s (Array.sub a 0 6))
+    h (ints_s s)
+
+let prng_pins =
+  [ ( 0,
+      "int=0,1,5,59,490437550606523686 bool=false float=0x1.6414d5f0fa298p-3 \
+       bits64=c584133ac916ab3c split=f602fed527866b0b,f3b8488c368cb0a6 incl=4 \
+       shuffle=80,9,18,10,36,39..#46f0a134fcd6 sample=10,6,16,19,22,17,1,11,3,9",
+      118 );
+    ( 1,
+      "int=0,1,4,11,931835874657720878 bool=true float=0x1.d2b5309350688p-2 \
+       bits64=2f9a1f13648eab6e split=1969f1328f7ca46b,e1d9d25350c18b44 incl=3 \
+       shuffle=90,74,5,67,80,52..#b5ca262b735a sample=9,0,2,11,3,21,13,14,23,6",
+      118 );
+    ( -7,
+      "int=0,0,1,34,1253139890351779899 bool=false float=0x1.16ecaef0c7724p-2 \
+       bits64=2152c9a4ddd31d5a split=2e5c31d7698e57be,de26d83c3959aecd incl=2 \
+       shuffle=22,78,28,11,4,19..#c8015bdd265a sample=1,16,2,19,13,4,20,5,22,21",
+      119 );
+    ( 1234,
+      "int=0,1,4,62,1435809892863104588 bool=false float=0x1.e21e7355405ap-6 \
+       bits64=f09719a8635ebf3c split=9e3ba2fe5addf9db,7638ca91fe237aac incl=1 \
+       shuffle=22,30,74,39,77,43..#e290a10056b6 sample=3,14,2,20,22,5,17,6,10,7",
+      118 );
+    ( 20260809,
+      "int=0,0,2,62,888010957217066489 bool=false float=0x1.78a50c1270a81p-1 \
+       bits64=9327ea47db66462e split=360100327bc6a6b4,8c42f17b18aab76a incl=2 \
+       shuffle=20,35,44,93,14,3..#4f4cae1ef3f4 sample=17,20,0,14,7,9,21,13,4,18",
+      118 ) ]
+
+(* [prng.draws] added while [f] runs, at [Metrics] level. *)
+let prng_draws f =
+  Telemetry.reset ();
+  Telemetry.set_level Telemetry.Metrics;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.set_level Telemetry.Off;
+      Telemetry.reset ())
+    (fun () ->
+      let before = Telemetry.counters () in
+      f ();
+      Option.value ~default:0
+        (List.assoc_opt "prng.draws"
+           (Telemetry.diff_counters ~before (Telemetry.counters ()))))
+
+let test_prng_stream_pinned () =
+  List.iter
+    (fun (seed, line, draws) ->
+      Alcotest.(check string)
+        (Printf.sprintf "stream seed %d" seed)
+        line (prng_pin_line seed);
+      Alcotest.(check int)
+        (Printf.sprintf "draws seed %d" seed)
+        draws
+        (prng_draws (fun () -> ignore (prng_pin_line seed))))
+    prng_pins;
+  let a = Array.init 97 Fun.id in
+  Alcotest.(check int) "one shuffle of 97" 96
+    (prng_draws (fun () -> Prng.shuffle (Prng.create 3) a));
+  let g = Prng.create 3 in
+  Alcotest.(check (list int)) "int rejections counted" [ 2; 1; 6; 4; 3; 1; 2; 3 ]
+    (List.init 8 (fun _ ->
+         prng_draws (fun () -> ignore (Prng.int g ((1 lsl 61) + 12345)))))
 
 let test_prng_uniformity_rough () =
   (* chi-square-ish smoke: 6 buckets, 6000 draws, each within 30% *)
@@ -983,6 +1076,7 @@ let () =
           Alcotest.test_case "copy independent" `Quick
             test_prng_copy_independent;
           Alcotest.test_case "split diverges" `Quick test_prng_split_diverges;
+          Alcotest.test_case "stream pinned" `Quick test_prng_stream_pinned;
           Alcotest.test_case "rough uniformity" `Quick
             test_prng_uniformity_rough;
           qtest "int in range" QCheck.small_int prop_int_in_range;
